@@ -1,0 +1,130 @@
+package bench
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"drizzle/internal/checkpoint"
+	"drizzle/internal/core"
+	"drizzle/internal/dag"
+	"drizzle/internal/data"
+	"drizzle/internal/engine"
+	"drizzle/internal/shuffle"
+)
+
+// BenchmarkShufflePath drives one micro-batch through the data plane the way
+// an executor slot does, without the cluster around it: every map task
+// indexes its output by reducer and writes one block per reducer through a
+// reused BlockWriter, then every reduce task opens its blocks and folds them
+// into window state. One op is one micro-batch (mapParts map tasks and
+// reduceParts reduce tasks); ns/record and B/record divide by the records
+// that entered the map side, so the two shapes compare directly.
+//
+//   - sessions: pre-keyed Zipf records, no combine — every record is encoded,
+//     compressed, stored, decompressed and folded (the sessions-groupby
+//     benchmark workload).
+//   - yahoo: few keys and map-side combine — blocks are a few dozen
+//     aggregates (the yahoo-combine workload after its parse/filter/join).
+func BenchmarkShufflePath(b *testing.B) {
+	const (
+		mapParts    = 4
+		reduceParts = 4
+		interval    = 100 * time.Millisecond
+		epoch       = int64(1_700_000_100) * int64(time.Second)
+	)
+	for _, shape := range []struct {
+		name    string
+		perTask int
+		keys    int
+		zipf    float64
+		combine bool
+		window  time.Duration
+	}{
+		{name: "sessions", perTask: 29_000, keys: 50_000, zipf: 1.2, window: 3 * interval},
+		{name: "yahoo", perTask: 6_600, keys: 100, zipf: 0, combine: true, window: 2 * interval},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			keys := make([]uint64, shape.keys)
+			for i := range keys {
+				keys[i] = rng.Uint64()
+			}
+			pick := func() uint64 { return keys[rng.Intn(len(keys))] }
+			if shape.zipf > 0 {
+				z := rand.NewZipf(rng, shape.zipf, 1, uint64(len(keys)-1))
+				pick = func() uint64 { return keys[z.Uint64()] }
+			}
+			// One batch worth of map output, re-timed per batch below.
+			inputs := make([][]data.Record, mapParts)
+			for m := range inputs {
+				inputs[m] = make([]data.Record, shape.perTask)
+				for i := range inputs[m] {
+					inputs[m][i] = data.Record{Key: pick(), Val: 1}
+				}
+			}
+			var (
+				win        = dag.WindowSpec{Size: shape.window}
+				bucket     = shuffle.WindowBucket(win)
+				part       = data.NewHashPartitioner(reduceParts)
+				store      = shuffle.NewStore()
+				states     = engine.NewStateStore()
+				closeNanos = func(bt core.BatchID) int64 { return epoch + int64(bt+1)*int64(interval) }
+				// One slot's worth of scratch, as in the engine.
+				index   data.PartitionIndex
+				writer  = shuffle.NewBlockWriter(store)
+				inflate []byte
+				batches []data.Batch
+			)
+			blockID := func(bt int64, m, r int) shuffle.BlockID {
+				return shuffle.BlockID{Job: "bench", Batch: bt, MapPartition: m, ReducePartition: r}
+			}
+			batch := func(bt int64) {
+				start := epoch + bt*int64(interval)
+				for m, recs := range inputs {
+					for i := range recs {
+						recs[i].Time = start + int64(i)*int64(interval)/int64(len(recs))
+					}
+					index.Build(recs, part)
+					for r := 0; r < reduceParts; r++ {
+						if shape.combine {
+							writer.PutCombined(blockID(bt, m, r), recs, index.Part(r), dag.Sum, bucket)
+						} else {
+							writer.Put(blockID(bt, m, r), recs, index.Part(r))
+						}
+					}
+				}
+				for r := 0; r < reduceParts; r++ {
+					inflate, batches = inflate[:0], batches[:0]
+					for m := 0; m < mapParts; m++ {
+						raw, _ := store.GetRaw(blockID(bt, m, r))
+						blk, err := data.OpenBatch(raw, &inflate)
+						if err != nil {
+							b.Fatal(err)
+						}
+						batches = append(batches, blk)
+					}
+					key := checkpoint.StateKey{Job: "bench", Stage: 1, Partition: r}
+					states.ApplyBlocks(key, core.BatchID(bt), batches, dag.Sum, win, closeNanos)
+				}
+				store.PurgeBefore(bt)
+			}
+			for bt := int64(0); bt < 6; bt++ { // fill the window maps and the scratch
+				batch(bt)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch(6 + int64(i))
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			records := float64(b.N) * mapParts * float64(shape.perTask)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
+		})
+	}
+}

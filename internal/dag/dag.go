@@ -15,8 +15,13 @@ import (
 )
 
 // NarrowOp transforms the records of one partition without repartitioning
-// (a fused map/filter/flatMap chain). Implementations must not retain the
-// input slice but may modify it in place and return it.
+// (a fused map/filter/flatMap chain).
+//
+// Ownership: in belongs to the running task and is valid only until the op
+// returns. The op may modify it in place and return it (or a prefix of it),
+// or return a slice of its own, which the task then owns; it must not keep
+// in, or any part of it, for later. Payload bytes follow their record: an op
+// that wants a payload beyond the call copies it.
 type NarrowOp func(in []data.Record) []data.Record
 
 // BatchInfo describes the micro-batch slice a source task must produce:
@@ -38,6 +43,11 @@ type SourceFunc func(b BatchInfo) []data.Record
 
 // SinkFunc receives the output records of one partition of one micro-batch
 // of the terminal stage.
+//
+// Ownership: out is lent for the duration of the call. A sink that wants
+// records afterwards copies them out before it returns; the engine is free
+// to reuse or overwrite the slice as soon as it does. Sinks are called from
+// executor slots concurrently and must synchronise their own state.
 type SinkFunc func(batch int64, partition int, out []data.Record)
 
 // ReduceFunc merges two values of the same key (sum, min, max, ...). It must

@@ -103,6 +103,45 @@ func TestPartitionRecordsCoversAll(t *testing.T) {
 	}
 }
 
+// TestPartitionIndexMatchesAppendPartitioning holds the index (and
+// PartitionRecords on top of it) to the obvious append-per-record
+// partitioning: same groups, source order kept within each, empty partitions
+// present and non-nil — across rebuilds of one index with changing sizes and
+// partition counts, which is how an executor slot uses it.
+func TestPartitionIndexMatchesAppendPartitioning(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var x PartitionIndex
+	for _, c := range []struct{ n, parts int }{{1000, 5}, {0, 3}, {7, 16}, {5000, 4}, {300, 1}, {1, 2}} {
+		recs := make([]Record, c.n)
+		for i := range recs {
+			recs[i] = Record{Key: rng.Uint64() % 64, Val: int64(i)}
+		}
+		p := NewHashPartitioner(c.parts)
+		want := make([][]Record, c.parts)
+		for _, r := range recs {
+			want[p.Partition(r.Key)] = append(want[p.Partition(r.Key)], r)
+		}
+		x.Build(recs, p)
+		got := PartitionRecords(recs, p)
+		if x.NumPartitions() != c.parts || len(got) != c.parts {
+			t.Fatalf("%d records: %d / %d partitions, want %d", c.n, x.NumPartitions(), len(got), c.parts)
+		}
+		for r := 0; r < c.parts; r++ {
+			part := x.Part(r)
+			if got[r] == nil || len(part) != len(want[r]) || len(got[r]) != len(want[r]) {
+				t.Fatalf("%d records, partition %d: index has %d, PartitionRecords %d (nil=%v), want %d",
+					c.n, r, len(part), len(got[r]), got[r] == nil, len(want[r]))
+			}
+			for j, i := range part {
+				if recs[i].Val != want[r][j].Val || got[r][j].Val != want[r][j].Val {
+					t.Fatalf("%d records, partition %d, position %d: index -> %d, PartitionRecords -> %d, want %d",
+						c.n, r, j, recs[i].Val, got[r][j].Val, want[r][j].Val)
+				}
+			}
+		}
+	}
+}
+
 func TestEncodeDecodeBatch(t *testing.T) {
 	recs := []Record{
 		{Key: 1, Val: -5, Time: 12345, Payload: []byte("hello")},

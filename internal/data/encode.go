@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"drizzle/internal/snappy"
 )
@@ -84,31 +85,84 @@ func EncodeBatch(dst []byte, recs []Record) []byte {
 // EncodeBatchColumnar appends the columnar encoding of recs to dst and
 // returns the extended slice. DecodeBatch understands both layouts.
 func EncodeBatchColumnar(dst []byte, recs []Record) []byte {
+	return AppendColumnar(dst, recs, nil)
+}
+
+// AppendColumnar appends the columnar encoding of the records recs[idx[0]],
+// recs[idx[1]], ... to dst and returns the extended slice; a nil idx selects
+// every record in order. It is how the map side encodes one reducer's block
+// straight from the task's output slice (idx being that reducer's share of a
+// PartitionIndex) instead of first copying the records out. recs and idx are
+// only read, and nothing of them is retained.
+func AppendColumnar(dst []byte, recs []Record, idx []uint32) []byte {
+	n := len(recs)
+	if idx != nil {
+		n = len(idx)
+	}
+	at := func(j int) *Record {
+		if idx != nil {
+			return &recs[idx[j]]
+		}
+		return &recs[j]
+	}
 	dst = binary.LittleEndian.AppendUint32(dst, formatSentinel)
 	dst = append(dst, formatColumnar)
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	// Each column reserves its worst case once and is then written by
+	// index, which keeps the per-value cost to the varint itself.
+	dst = slices.Grow(dst, n*binary.MaxVarintLen64)
 	var prevKey uint64
-	for i := range recs {
+	for j := 0; j < n; j++ {
 		// Wrapping subtraction: encode and decode apply the same two's-
 		// complement arithmetic, so arbitrary key orders round-trip.
-		dst = binary.AppendVarint(dst, int64(recs[i].Key-prevKey))
-		prevKey = recs[i].Key
+		k := at(j).Key
+		dst = appendVarint(dst, int64(k-prevKey))
+		prevKey = k
 	}
-	for i := range recs {
-		dst = binary.AppendVarint(dst, recs[i].Val)
+	dst = slices.Grow(dst, n*binary.MaxVarintLen64)
+	for j := 0; j < n; j++ {
+		dst = appendVarint(dst, at(j).Val)
 	}
+	dst = slices.Grow(dst, n*binary.MaxVarintLen64)
 	var prevTime int64
-	for i := range recs {
-		dst = binary.AppendVarint(dst, recs[i].Time-prevTime)
-		prevTime = recs[i].Time
+	for j := 0; j < n; j++ {
+		t := at(j).Time
+		dst = appendVarint(dst, t-prevTime)
+		prevTime = t
 	}
-	for i := range recs {
-		dst = binary.AppendUvarint(dst, uint64(len(recs[i].Payload)))
+	dst = slices.Grow(dst, n*binary.MaxVarintLen64)
+	payload := 0
+	for j := 0; j < n; j++ {
+		l := len(at(j).Payload)
+		payload += l
+		dst = appendUvarint(dst, uint64(l))
 	}
-	for i := range recs {
-		dst = append(dst, recs[i].Payload...)
+	if payload > 0 {
+		dst = slices.Grow(dst, payload)
+		for j := 0; j < n; j++ {
+			dst = append(dst, at(j).Payload...)
+		}
 	}
 	return dst
+}
+
+// appendUvarint is binary.AppendUvarint for a dst that already has
+// MaxVarintLen64 spare bytes: it writes by index instead of growing byte by
+// byte.
+func appendUvarint(dst []byte, v uint64) []byte {
+	i := len(dst)
+	dst = dst[:i+binary.MaxVarintLen64]
+	for v >= 0x80 {
+		dst[i] = byte(v) | 0x80
+		v >>= 7
+		i++
+	}
+	dst[i] = byte(v)
+	return dst[:i+1]
+}
+
+func appendVarint(dst []byte, v int64) []byte {
+	return appendUvarint(dst, uint64(v<<1)^uint64(v>>63))
 }
 
 // CompressBatch wraps an encoded batch (either layout) in the compressed
@@ -119,150 +173,290 @@ func CompressBatch(b []byte, threshold int) []byte {
 	if threshold <= 0 || len(b) < threshold {
 		return b
 	}
-	enc := make([]byte, 0, 5+len(b)/2)
-	enc = binary.LittleEndian.AppendUint32(enc, formatSentinel)
-	enc = append(enc, formatCompressed)
-	enc = snappy.AppendEncoded(enc, b)
-	if len(enc) >= len(b) {
-		return b
+	if enc, ok := AppendCompressed(make([]byte, 0, 5+len(b)/2), b); ok {
+		return enc
 	}
-	return enc
+	return b
 }
 
-// decodeColumnar decodes the columnar layout; b starts at the format byte.
-func decodeColumnar(b []byte, off int) ([]Record, int, error) {
-	uvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
+// AppendCompressed appends the compressed-batch envelope of the encoded
+// batch b to dst. It reports whether the envelope is smaller than b; when it
+// is not, the caller should store b as it is and dst comes back at its
+// original length (its capacity may have grown).
+func AppendCompressed(dst, b []byte) ([]byte, bool) {
+	base := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, formatSentinel)
+	dst = append(dst, formatCompressed)
+	dst = snappy.AppendEncoded(dst, b)
+	if len(dst)-base >= len(b) {
+		return dst[:base], false
 	}
-	varint := func() (int64, bool) {
-		v, n := binary.Varint(b[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	c, ok := uvarint()
-	if !ok || c > uint64((len(b)-off)/columnarMinPerRecord) {
-		return nil, 0, fmt.Errorf("%w: implausible columnar count %d for %d bytes", errCorrupt, c, len(b)-off)
-	}
-	count := int(c)
-	recs := make([]Record, count)
-	var prevKey uint64
-	for i := range recs {
-		d, ok := varint()
-		if !ok {
-			return nil, 0, fmt.Errorf("%w: truncated key column at record %d", errCorrupt, i)
-		}
-		prevKey += uint64(d)
-		recs[i].Key = prevKey
-	}
-	for i := range recs {
-		v, ok := varint()
-		if !ok {
-			return nil, 0, fmt.Errorf("%w: truncated val column at record %d", errCorrupt, i)
-		}
-		recs[i].Val = v
-	}
-	var prevTime int64
-	for i := range recs {
-		d, ok := varint()
-		if !ok {
-			return nil, 0, fmt.Errorf("%w: truncated time column at record %d", errCorrupt, i)
-		}
-		prevTime += d
-		recs[i].Time = prevTime
-	}
-	plens := make([]uint64, count)
-	var total uint64
-	for i := range plens {
-		l, ok := uvarint()
-		if !ok {
-			return nil, 0, fmt.Errorf("%w: truncated length column at record %d", errCorrupt, i)
-		}
-		if l > uint64(len(b)) {
-			return nil, 0, fmt.Errorf("%w: payload length %d at record %d", errCorrupt, l, i)
-		}
-		plens[i] = l
-		total += l
-		if total > uint64(len(b)-off) {
-			return nil, 0, fmt.Errorf("%w: payloads claim %d of %d remaining bytes", errCorrupt, total, len(b)-off)
-		}
-	}
-	for i := range recs {
-		if l := int(plens[i]); l > 0 {
-			recs[i].Payload = append([]byte(nil), b[off:off+l]...)
-			off += l
-		}
-	}
-	return recs, off, nil
+	return dst, true
 }
 
-// DecodeBatch decodes a record batch produced by EncodeBatch or
-// EncodeBatchColumnar. It returns the records and the number of bytes
-// consumed.
-func DecodeBatch(b []byte) ([]Record, int, error) {
+// Batch is a record batch that has been validated but not decoded: Len,
+// Iter and AppendTo read the encoded bytes in place. It aliases the slice
+// OpenBatch was given (or, for a compressed batch, the inflate buffer), so it
+// is valid only as long as those bytes are left alone.
+type Batch struct {
+	b    []byte // the plain (row or columnar) encoding
+	n    int    // record count
+	size int    // bytes of the caller's input this batch occupies
+	row  bool
+	// Column starts within b. The row layout uses key alone, as the start
+	// of its first record.
+	key, val, time, plen, payload int
+	payloadBytes                  int
+}
+
+// Len reports the number of records in the batch.
+func (b *Batch) Len() int { return b.n }
+
+// OpenBatch validates an encoded batch in any layout without decoding it:
+// the row layout by walking its record headers, the columnar layout by a
+// skip-scan that finds the end of every column. Whatever OpenBatch accepts,
+// Iter and AppendTo read without error; whatever it rejects, DecodeBatch
+// rejects too (DecodeBatch is OpenBatch plus AppendTo).
+//
+// A compressed batch is decompressed by appending to *inflate, which lets a
+// caller reuse one buffer for every block of a task; the returned Batch then
+// aliases that buffer rather than b. A nil inflate allocates.
+func OpenBatch(b []byte, inflate *[]byte) (Batch, error) {
 	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("%w: short header (%d bytes)", errCorrupt, len(b))
+		return Batch{}, fmt.Errorf("%w: short header (%d bytes)", errCorrupt, len(b))
 	}
-	if binary.LittleEndian.Uint32(b) == formatSentinel {
-		if len(b) < 5 {
-			return nil, 0, fmt.Errorf("%w: missing format byte", errCorrupt)
-		}
-		switch b[4] {
-		case formatColumnar:
-			return decodeColumnar(b, 5)
-		case formatCompressed:
-			dec, err := snappy.Decode(b[5:])
-			if err != nil {
-				return nil, 0, fmt.Errorf("%w: %v", errCorrupt, err)
-			}
-			// One decompression per batch: a format-2 body inside a format-2
-			// envelope is rejected, so hostile input cannot chain expansions.
-			if len(dec) >= 5 && binary.LittleEndian.Uint32(dec) == formatSentinel && dec[4] == formatCompressed {
-				return nil, 0, fmt.Errorf("%w: nested compressed batch", errCorrupt)
-			}
-			recs, n, err := DecodeBatch(dec)
-			if err != nil {
-				return nil, 0, err
-			}
-			if n != len(dec) {
-				return nil, 0, fmt.Errorf("%w: %d trailing byte(s) inside compressed batch", errCorrupt, len(dec)-n)
-			}
-			return recs, len(b), nil
-		default:
-			return nil, 0, fmt.Errorf("%w: unknown batch format %d", errCorrupt, b[4])
-		}
+	if binary.LittleEndian.Uint32(b) != formatSentinel {
+		return openRow(b)
 	}
+	if len(b) < 5 {
+		return Batch{}, fmt.Errorf("%w: missing format byte", errCorrupt)
+	}
+	switch b[4] {
+	case formatColumnar:
+		return openColumnar(b)
+	case formatCompressed:
+		var fresh []byte
+		if inflate == nil {
+			inflate = &fresh
+		}
+		base := len(*inflate)
+		grown, err := snappy.AppendDecoded(*inflate, b[5:])
+		if err != nil {
+			return Batch{}, fmt.Errorf("%w: %v", errCorrupt, err)
+		}
+		*inflate = grown
+		dec := grown[base:len(grown):len(grown)]
+		// One decompression per batch: a format-2 body inside a format-2
+		// envelope is rejected, so hostile input cannot chain expansions.
+		if len(dec) >= 5 && binary.LittleEndian.Uint32(dec) == formatSentinel && dec[4] == formatCompressed {
+			return Batch{}, fmt.Errorf("%w: nested compressed batch", errCorrupt)
+		}
+		inner, err := OpenBatch(dec, nil)
+		if err != nil {
+			return Batch{}, err
+		}
+		if inner.size != len(dec) {
+			return Batch{}, fmt.Errorf("%w: %d trailing byte(s) inside compressed batch", errCorrupt, len(dec)-inner.size)
+		}
+		inner.size = len(b)
+		return inner, nil
+	default:
+		return Batch{}, fmt.Errorf("%w: unknown batch format %d", errCorrupt, b[4])
+	}
+}
+
+func openRow(b []byte) (Batch, error) {
 	count := int(binary.LittleEndian.Uint32(b))
 	off := 4
-	// Guard against absurd counts before allocating.
+	// Guard against absurd counts before anything is sized from them.
 	if count < 0 || count > len(b)/recordHeaderSize+1 {
-		return nil, 0, fmt.Errorf("%w: implausible record count %d for %d bytes", errCorrupt, count, len(b))
+		return Batch{}, fmt.Errorf("%w: implausible record count %d for %d bytes", errCorrupt, count, len(b))
 	}
-	recs := make([]Record, count)
+	payloadBytes := 0
 	for i := 0; i < count; i++ {
 		if len(b)-off < recordHeaderSize {
-			return nil, 0, fmt.Errorf("%w: truncated record %d", errCorrupt, i)
+			return Batch{}, fmt.Errorf("%w: truncated record %d", errCorrupt, i)
 		}
-		r := &recs[i]
-		r.Key = binary.LittleEndian.Uint64(b[off:])
-		r.Val = int64(binary.LittleEndian.Uint64(b[off+8:]))
-		r.Time = int64(binary.LittleEndian.Uint64(b[off+16:]))
 		plen := int(binary.LittleEndian.Uint32(b[off+24:]))
 		off += recordHeaderSize
 		if plen < 0 || len(b)-off < plen {
-			return nil, 0, fmt.Errorf("%w: truncated payload of record %d (%d bytes)", errCorrupt, i, plen)
+			return Batch{}, fmt.Errorf("%w: truncated payload of record %d (%d bytes)", errCorrupt, i, plen)
 		}
-		if plen > 0 {
-			r.Payload = append([]byte(nil), b[off:off+plen]...)
-			off += plen
+		off += plen
+		payloadBytes += plen
+	}
+	return Batch{b: b, n: count, size: off, row: true, key: 4, payloadBytes: payloadBytes}, nil
+}
+
+// skipVarints steps over count varints starting at off, applying
+// binary.Uvarint's acceptance rule (at most ten bytes, the tenth at most 1).
+// It returns the offset after the last one and the number it got through.
+func skipVarints(b []byte, off, count int) (int, int) {
+	for i := 0; i < count; i++ {
+		end := off + binary.MaxVarintLen64
+		if end > len(b) {
+			end = len(b)
+		}
+		j := off
+		for j < end && b[j] >= 0x80 {
+			j++
+		}
+		if j == end || (j-off == binary.MaxVarintLen64-1 && b[j] > 1) {
+			return off, i
+		}
+		off = j + 1
+	}
+	return off, count
+}
+
+// openColumnar validates the columnar layout; b starts at the sentinel.
+func openColumnar(b []byte) (Batch, error) {
+	c, n := binary.Uvarint(b[5:])
+	off := 5 + n
+	if n <= 0 || c > uint64((len(b)-off)/columnarMinPerRecord) {
+		return Batch{}, fmt.Errorf("%w: implausible columnar count %d for %d bytes", errCorrupt, c, len(b)-off)
+	}
+	out := Batch{b: b, n: int(c), key: off}
+	var ends [3]int // of the key, val and time columns
+	for i, name := range [...]string{"key", "val", "time"} {
+		var done int
+		if off, done = skipVarints(b, off, out.n); done < out.n {
+			return Batch{}, fmt.Errorf("%w: truncated %s column at record %d", errCorrupt, name, done)
+		}
+		ends[i] = off
+	}
+	out.val, out.time, out.plen = ends[0], ends[1], ends[2]
+	var total uint64
+	for i := 0; i < out.n; i++ {
+		l, n := readUvarint(b, off)
+		if n <= 0 {
+			return Batch{}, fmt.Errorf("%w: truncated length column at record %d", errCorrupt, i)
+		}
+		off += n
+		if l > uint64(len(b)) {
+			return Batch{}, fmt.Errorf("%w: payload length %d at record %d", errCorrupt, l, i)
+		}
+		total += l
+		if total > uint64(len(b)-off) {
+			return Batch{}, fmt.Errorf("%w: payloads claim %d of %d remaining bytes", errCorrupt, total, len(b)-off)
 		}
 	}
-	return recs, off, nil
+	out.payload = off
+	out.payloadBytes = int(total)
+	out.size = off + int(total)
+	return out, nil
+}
+
+// readUvarint is binary.Uvarint(b[off:]) with the one-byte case, which is
+// most values of most columns, kept short enough to inline.
+func readUvarint(b []byte, off int) (uint64, int) {
+	if off < len(b) && b[off] < 0x80 {
+		return uint64(b[off]), 1
+	}
+	return binary.Uvarint(b[off:])
+}
+
+func readVarint(b []byte, off int) (int64, int) {
+	u, n := readUvarint(b, off)
+	return int64(u>>1) ^ -int64(u&1), n
+}
+
+// BatchIter walks the numeric fields of a Batch record by record; payloads
+// are skipped. After Next returns true, Key, Val and Time hold the record.
+type BatchIter struct {
+	Key       uint64
+	Val, Time int64
+
+	b       []byte
+	left    int
+	row     bool
+	k, v, t int // cursors: the three columns, or k alone for rows
+}
+
+// Iter returns an iterator positioned before the first record.
+func (b *Batch) Iter() BatchIter {
+	return BatchIter{b: b.b, left: b.n, row: b.row, k: b.key, v: b.val, t: b.time}
+}
+
+// Next advances to the next record and reports whether there was one. The
+// batch was validated when it was opened, so decoding cannot fail short of
+// the bytes having been overwritten since — a bug, which panics.
+func (it *BatchIter) Next() bool {
+	if it.left == 0 {
+		return false
+	}
+	it.left--
+	if it.row {
+		r := it.b[it.k : it.k+recordHeaderSize]
+		it.Key = binary.LittleEndian.Uint64(r)
+		it.Val = int64(binary.LittleEndian.Uint64(r[8:]))
+		it.Time = int64(binary.LittleEndian.Uint64(r[16:]))
+		it.k += recordHeaderSize + int(binary.LittleEndian.Uint32(r[24:]))
+		return true
+	}
+	dk, nk := readVarint(it.b, it.k)
+	val, nv := readVarint(it.b, it.v)
+	dt, nt := readVarint(it.b, it.t)
+	if nk <= 0 || nv <= 0 || nt <= 0 {
+		panic("data: batch bytes changed after OpenBatch validated them")
+	}
+	it.k, it.v, it.t = it.k+nk, it.v+nv, it.t+nt
+	it.Key += uint64(dk)
+	it.Val = val
+	it.Time += dt
+	return true
+}
+
+// AppendTo decodes the batch's records onto dst. The records own their
+// memory: payloads are copied out (into one allocation per batch), so the
+// result stays valid after the encoded bytes are reused.
+func (b *Batch) AppendTo(dst []Record) []Record {
+	base := len(dst)
+	dst = slices.Grow(dst, b.n)[:base+b.n]
+	it := b.Iter()
+	for i := base; it.Next(); i++ {
+		// Field by field: dst's spare capacity may hold anything.
+		r := &dst[i]
+		r.Key, r.Val, r.Time, r.Payload = it.Key, it.Val, it.Time, nil
+	}
+	if b.payloadBytes == 0 {
+		return dst
+	}
+	arena := make([]byte, 0, b.payloadBytes)
+	keep := func(i int, p []byte) {
+		if len(p) > 0 {
+			start := len(arena)
+			arena = append(arena, p...)
+			dst[base+i].Payload = arena[start:len(arena):len(arena)]
+		}
+	}
+	if b.row {
+		off := b.key
+		for i := 0; i < b.n; i++ {
+			l := int(binary.LittleEndian.Uint32(b.b[off+24:]))
+			off += recordHeaderSize
+			keep(i, b.b[off:off+l])
+			off += l
+		}
+		return dst
+	}
+	lens, off := b.plen, b.payload
+	for i := 0; i < b.n; i++ {
+		l, n := readUvarint(b.b, lens)
+		lens += n
+		keep(i, b.b[off:off+int(l)])
+		off += int(l)
+	}
+	return dst
+}
+
+// DecodeBatch decodes a record batch produced by EncodeBatch or
+// EncodeBatchColumnar, compressed or not. It returns the records and the
+// number of bytes consumed.
+func DecodeBatch(b []byte) ([]Record, int, error) {
+	batch, err := OpenBatch(b, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return batch.AppendTo(make([]Record, 0, batch.n)), batch.size, nil
 }

@@ -1,0 +1,50 @@
+//go:build poisonscratch
+
+package engine
+
+import (
+	"testing"
+	"time"
+
+	"drizzle/internal/data"
+	"drizzle/internal/shuffle"
+)
+
+// TestPoisonSwitchIsLive proves that a -tags poisonscratch run tests what it
+// says: a sink that breaks the contract by keeping the slice it was lent
+// reads poison once it has returned, and the slot's inflate buffer is
+// scribbled over when the task ends. Without this, a poison run in which the
+// hooks had quietly become no-ops would pass just the same.
+func TestPoisonSwitchIsLive(t *testing.T) {
+	job := shuffleJob(nil, 1, 1, false)
+	job.Stages[1].Window.Size = job.Interval // batch 0 closes window [0, interval)
+	var kept []data.Record
+	job.Stages[1].Sink = func(_ int64, _ int, out []data.Record) { kept = out }
+	w, sc := bareWorker(t, job)
+
+	recs := make([]data.Record, 2000)
+	for i := range recs {
+		recs[i] = data.Record{Key: uint64(i % 10), Val: 1, Time: int64(i) % int64(time.Millisecond)}
+	}
+	w.store.Put(shuffle.BlockID{Job: job.Name}, recs)
+	if _, err := w.execute(reduceTask(w, job, 0, 1), sc, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 10 {
+		t.Fatalf("sink saw %d records, want the 10 keys of the closed window", len(kept))
+	}
+	for _, r := range kept {
+		if p := data.PoisonedRecord; r.Key != p.Key || r.Val != p.Val || r.Time != p.Time {
+			t.Fatalf("a record the sink kept past its return still reads %+v", r)
+		}
+	}
+	if len(sc.inflate) == 0 {
+		t.Fatal("the task's compressed block was not inflated into the slot's buffer")
+	}
+	sc.release()
+	for i, b := range sc.inflate[:cap(sc.inflate)] {
+		if b != 0xDB {
+			t.Fatalf("inflate[%d] = %#x after release", i, b)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 
 	"drizzle/internal/checkpoint"
@@ -58,7 +59,7 @@ func (s *StateStore) partition(key checkpoint.StateKey) *statePartition {
 // ApplyBatch folds one micro-batch of records into the partition's window
 // state and returns the window results that became final, plus whether the
 // batch was a duplicate (already applied — replay or a re-executed task).
-// closeNanos maps a batch ID to its wall-clock close time.
+// closeNanos maps a batch ID to its wall-clock close time. recs is only read.
 func (s *StateStore) ApplyBatch(
 	key checkpoint.StateKey,
 	batch core.BatchID,
@@ -67,25 +68,86 @@ func (s *StateStore) ApplyBatch(
 	window dag.WindowSpec,
 	closeNanos func(core.BatchID) int64,
 ) (emitted []data.Record, dup bool) {
+	return s.apply(key, batch, window, closeNanos, func(f *windowFolder) {
+		for i := range recs {
+			f.add(recs[i].Key, recs[i].Val, recs[i].Time, reduce)
+		}
+	})
+}
+
+// ApplyBlocks is ApplyBatch for a micro-batch that is still encoded: the
+// shuffle blocks of one reduce task, opened (and so validated — a corrupt
+// block never gets this far) but not decoded. The records are folded into
+// the window state straight off the encoded columns; no []data.Record ever
+// exists. The blocks are only read, and only during the call: they may alias
+// scratch the caller reuses as soon as ApplyBlocks returns. The emitted
+// records are freshly allocated.
+func (s *StateStore) ApplyBlocks(
+	key checkpoint.StateKey,
+	batch core.BatchID,
+	blocks []data.Batch,
+	reduce dag.ReduceFunc,
+	window dag.WindowSpec,
+	closeNanos func(core.BatchID) int64,
+) (emitted []data.Record, dup bool) {
+	return s.apply(key, batch, window, closeNanos, func(f *windowFolder) {
+		for i := range blocks {
+			for it := blocks[i].Iter(); it.Next(); {
+				f.add(it.Key, it.Val, it.Time, reduce)
+			}
+		}
+	})
+}
+
+// windowFolder folds records into a partition's window maps. Records of a
+// micro-batch arrive in event-time runs, so it keeps the window it last
+// resolved — bounds and inner map — and pays the window arithmetic and the
+// outer-map lookup once per run instead of once per record.
+type windowFolder struct {
+	windows map[int64]map[uint64]int64
+	window  dag.WindowSpec
+	// [lo, hi) is the cached window. It is empty before the first record,
+	// and again whenever the arithmetic wraps at either end of int64 (then
+	// hi < lo), so such records simply resolve their window every time.
+	lo, hi int64
+	kv     map[uint64]int64
+}
+
+func (f *windowFolder) add(key uint64, val, t int64, reduce dag.ReduceFunc) {
+	if t < f.lo || t >= f.hi {
+		f.lo = f.window.Assign(t)
+		f.hi = f.lo + int64(f.window.Size)
+		kv, ok := f.windows[f.lo]
+		if !ok {
+			kv = make(map[uint64]int64)
+			f.windows[f.lo] = kv
+		}
+		f.kv = kv
+	}
+	if v, ok := f.kv[key]; ok {
+		f.kv[key] = reduce(v, val)
+	} else {
+		f.kv[key] = val
+	}
+}
+
+// apply is the one implementation behind ApplyBatch and ApplyBlocks: dedup,
+// fold (the caller's loop over its representation of the batch), advance
+// the contiguous-batch watermark and emit the windows it closed.
+func (s *StateStore) apply(
+	key checkpoint.StateKey,
+	batch core.BatchID,
+	window dag.WindowSpec,
+	closeNanos func(core.BatchID) int64,
+	fold func(*windowFolder),
+) (emitted []data.Record, dup bool) {
 	p := s.partition(key)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.applied[batch] || batch <= p.appliedThrough {
 		return nil, true
 	}
-	for i := range recs {
-		w := window.Assign(recs[i].Time)
-		kv, ok := p.windows[w]
-		if !ok {
-			kv = make(map[uint64]int64)
-			p.windows[w] = kv
-		}
-		if v, ok := kv[recs[i].Key]; ok {
-			kv[recs[i].Key] = reduce(v, recs[i].Val)
-		} else {
-			kv[recs[i].Key] = recs[i].Val
-		}
-	}
+	fold(&windowFolder{windows: p.windows, window: window})
 	p.applied[batch] = true
 	for p.applied[p.appliedThrough+1] {
 		delete(p.applied, p.appliedThrough+1)
@@ -99,6 +161,7 @@ func (s *StateStore) ApplyBatch(
 	for w, kv := range p.windows {
 		end := w + size
 		if end <= watermark && end > p.emittedThrough {
+			emitted = slices.Grow(emitted, len(kv))
 			for k, v := range kv {
 				emitted = append(emitted, data.Record{Key: k, Val: v, Time: w})
 			}

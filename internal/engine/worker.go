@@ -426,14 +426,63 @@ func (w *Worker) onRestoreState(m core.RestoreState) {
 
 func (w *Worker) slotLoop() {
 	defer w.wg.Done()
+	sc := newSlotScratch(w.store)
 	for {
 		select {
 		case <-w.stop:
 			return
 		case rt := <-w.ls.Runnable():
-			w.runTask(rt)
+			w.runTask(rt, sc)
+			sc.release()
 		}
 	}
+}
+
+// slotScratch is the memory one executor slot reuses from task to task, so
+// that a micro-batch crosses the shuffle without per-record allocation. The
+// slot goroutine owns it outright — no pool, no lock — and everything in it
+// is dead the moment a task returns: nothing a task hands to a NarrowOp, a
+// SinkFunc, the block store or the state store may alias it afterwards.
+// (Build with -tags poisonscratch and release scribbles over all of it, which
+// turns a violation into a test failure.)
+type slotScratch struct {
+	// Map side: the partition permutation of the task's output, and the
+	// writer holding the encode/compress buffers and the combine table.
+	index  data.PartitionIndex
+	blocks *shuffle.BlockWriter
+	// Reduce side: the task's input blocks as stored or fetched, the
+	// decompressed bodies of the compressed ones, and the validated views
+	// over both.
+	in      []shuffle.Block
+	inflate []byte
+	batches []data.Batch
+}
+
+func newSlotScratch(store *shuffle.Store) *slotScratch {
+	return &slotScratch{blocks: shuffle.NewBlockWriter(store)}
+}
+
+// release ends a task's use of the scratch: input blocks are unpinned (they
+// belong to the block store or the fetch response, not to the slot).
+func (sc *slotScratch) release() {
+	clear(sc.in)
+	clear(sc.batches)
+	sc.in, sc.batches, sc.inflate = sc.in[:0], sc.batches[:0], sc.inflate[:0]
+	sc.poison()
+}
+
+// open validates every input block of the task, decompressing the
+// compressed ones into the slot's inflate buffer, and returns the views. It
+// fails on the first corrupt block, before the task has touched any state.
+func (sc *slotScratch) open(id core.TaskID) ([]data.Batch, error) {
+	for i := range sc.in {
+		b, err := data.OpenBatch(sc.in[i].Data, &sc.inflate)
+		if err != nil {
+			return nil, fmt.Errorf("engine: task %v: block %+v: %w", id, sc.in[i].ID, err)
+		}
+		sc.batches = append(sc.batches, b)
+	}
+	return sc.batches, nil
 }
 
 // errJobUnknown and errStateBehind are retryable preconditions, not task
@@ -457,7 +506,7 @@ var (
 // span, with pre-schedule (ready → start, the time pre-scheduling hides),
 // fetch, and execute children. The task span's ID travels back on the
 // status report so the driver's commit span completes the chain.
-func (w *Worker) runTask(rt core.RunnableTask) {
+func (w *Worker) runTask(rt core.RunnableTask, sc *slotScratch) {
 	ta := core.TaskAttempt{ID: rt.Desc.ID, Attempt: rt.Desc.Attempt}
 	if w.takeKill(ta) {
 		w.killedCnt.Inc()
@@ -477,7 +526,7 @@ func (w *Worker) runTask(rt core.RunnableTask) {
 	pspan.End()
 	queued := time.Since(rt.ReadyAt)
 	start := time.Now()
-	sizes, err := w.execute(rt, tr, tspan.ID())
+	sizes, err := w.execute(rt, sc, tr, tspan.ID())
 	w.applySlowdown(start)
 	if w.takeKill(ta) {
 		w.killedCnt.Inc()
@@ -535,7 +584,7 @@ func (w *Worker) applySlowdown(start time.Time) {
 	}
 }
 
-func (w *Worker) execute(rt core.RunnableTask, tr *trace.Tracer, parent trace.SpanID) ([]int64, error) {
+func (w *Worker) execute(rt core.RunnableTask, sc *slotScratch, tr *trace.Tracer, parent trace.SpanID) ([]int64, error) {
 	w.mu.Lock()
 	ji := w.jobs[rt.Desc.Job]
 	placement := w.placement
@@ -571,12 +620,12 @@ func (w *Worker) execute(rt core.RunnableTask, tr *trace.Tracer, parent trace.Sp
 		})
 	} else {
 		// task.fetch covers dependency gathering — local reads plus the
-		// pipelined remote fetches — i.e. the shuffle block wait.
+		// pipelined remote fetches — i.e. the shuffle block wait. The blocks
+		// stay encoded; reading them is part of executing the task.
 		fspan := tr.Begin("task.fetch", parent)
 		fspan.SetNode(string(w.id))
 		fspan.SetTask(int64(id.Batch), id.Stage, id.Partition, rt.Desc.Attempt)
-		var err error
-		recs, err = w.gatherInputs(rt)
+		err := w.gatherInputs(rt, sc)
 		fspan.End()
 		if err != nil {
 			return nil, err
@@ -585,30 +634,54 @@ func (w *Worker) execute(rt core.RunnableTask, tr *trace.Tracer, parent trace.Sp
 	espan := tr.Begin("task.execute", parent)
 	espan.SetNode(string(w.id))
 	espan.SetTask(int64(id.Batch), id.Stage, id.Partition, rt.Desc.Attempt)
+	defer espan.End()
+
+	if !stage.IsSource() {
+		batches, err := sc.open(id)
+		if err != nil {
+			return nil, err
+		}
+		// The plan's shape decides how the input is read. A windowed
+		// terminal stage with no narrow ops only ever folds its input into
+		// window state, so it folds straight off the encoded blocks. Any
+		// other consumer takes records: one slice, sized from the block
+		// headers, which the task then owns.
+		if stage.IsTerminal() && stage.Window != nil && len(stage.Ops) == 0 {
+			key := checkpoint.StateKey{Job: ji.name, Stage: id.Stage, Partition: id.Partition}
+			emitted, _ := w.states.ApplyBlocks(key, id.Batch, batches, stage.Reduce, *stage.Window, ji.closeNanos)
+			w.sink(stage, id, emitted)
+			return nil, nil
+		}
+		total := 0
+		for i := range batches {
+			total += batches[i].Len()
+		}
+		recs = make([]data.Record, 0, total)
+		for i := range batches {
+			recs = batches[i].AppendTo(recs)
+		}
+	}
 	recs = stage.ApplyOps(recs)
 
 	if stage.Shuffle != nil {
-		sizes, err := w.writeShuffleOutput(ji, stage, id, recs, rt.Desc.NotifyDownstream, placement)
-		espan.End()
-		return sizes, err
+		return w.writeShuffleOutput(ji, stage, id, recs, sc, rt.Desc.NotifyDownstream, placement)
 	}
 	w.runTerminal(ji, stage, id, recs)
-	espan.End()
 	return nil, nil
 }
 
-// gatherInputs fetches and decodes every dependency block, reading local
-// blocks directly and pipelining remote reads across holders: all remote
-// fetches are issued concurrently (Fetcher.FetchAll) instead of paying one
-// network round trip per holder in sequence.
-func (w *Worker) gatherInputs(rt core.RunnableTask) ([]data.Record, error) {
+// gatherInputs collects every dependency block of the task, still encoded,
+// into sc.in: local blocks are read from the store directly and remote reads
+// are pipelined across holders — all remote fetches are issued concurrently
+// (Fetcher.FetchAll) instead of paying one network round trip per holder in
+// sequence.
+func (w *Worker) gatherInputs(rt core.RunnableTask, sc *slotScratch) error {
 	id := rt.Desc.ID
-	var local []shuffle.BlockID
 	remote := make(map[rpc.NodeID][]shuffle.BlockID)
 	for _, d := range rt.Desc.Deps {
 		holder, ok := rt.Locations[d]
 		if !ok {
-			return nil, fmt.Errorf("engine: task %v activated without location for %+v", id, d)
+			return fmt.Errorf("engine: task %v activated without location for %+v", id, d)
 		}
 		blk := shuffle.BlockID{
 			Job:             d.Job,
@@ -617,63 +690,58 @@ func (w *Worker) gatherInputs(rt core.RunnableTask) ([]data.Record, error) {
 			MapPartition:    d.MapPartition,
 			ReducePartition: id.Partition,
 		}
-		if holder == w.id {
-			local = append(local, blk)
-		} else {
+		if holder != w.id {
 			remote[holder] = append(remote[holder], blk)
+			continue
 		}
-	}
-	var recs []data.Record
-	for _, blk := range local {
-		rs, ok, err := w.store.Get(blk)
-		if err != nil {
-			return nil, fmt.Errorf("engine: task %v: local block %+v: %w", id, blk, err)
-		}
+		b, ok := w.store.GetRaw(blk)
 		if !ok {
-			return nil, fmt.Errorf("engine: task %v: local block %+v missing", id, blk)
+			return fmt.Errorf("engine: task %v: local block %+v missing", id, blk)
 		}
-		recs = append(recs, rs...)
+		sc.in = append(sc.in, shuffle.Block{ID: blk, Data: b})
 	}
 	if len(remote) > 0 {
 		fetched, err := w.fetcher.FetchAll(remote, w.cfg.FetchTimeout)
 		if err != nil {
-			return nil, fmt.Errorf("engine: task %v: %w", id, err)
+			return fmt.Errorf("engine: task %v: %w", id, err)
 		}
-		for _, b := range fetched {
-			rs, _, err := data.DecodeBatch(b.Data)
-			if err != nil {
-				return nil, fmt.Errorf("engine: task %v: decode %+v: %w", id, b.ID, err)
-			}
-			recs = append(recs, rs...)
-		}
+		sc.in = append(sc.in, fetched...)
 	}
-	return recs, nil
+	return nil
 }
 
 // writeShuffleOutput partitions (and optionally combines) a map task's
 // output, stores the blocks locally, and — under pre-scheduling — pushes
-// DataReady notifications straight to the downstream workers.
-func (w *Worker) writeShuffleOutput(ji *jobInfo, stage *dag.Stage, id core.TaskID, recs []data.Record, notify bool, placement core.Placement) ([]int64, error) {
+// DataReady notifications straight to the downstream workers. The records
+// are never copied apart: each reducer's block is encoded (or combined)
+// straight from recs through the slot's partition index.
+func (w *Worker) writeShuffleOutput(ji *jobInfo, stage *dag.Stage, id core.TaskID, recs []data.Record, sc *slotScratch, notify bool, placement core.Placement) ([]int64, error) {
 	spec := stage.Shuffle
-	bucket := w.combineBucket(ji, stage)
 	sizes := make([]int64, spec.NumReducers)
-
-	if st := spec.Structure; st != nil {
-		// Known communication structure (§3.6, treeReduce): the whole
-		// (combined) output goes to a single consumer partition.
-		out := recs
-		if spec.Combine {
-			out = shuffle.Combine(out, spec.CombineFunc, bucket)
-		}
-		target := st.Consumer(id.Partition)
+	var bucket shuffle.TimeBucket
+	if spec.Combine {
+		bucket = w.combineBucket(ji, stage)
+	}
+	put := func(r int, idx []uint32) {
 		blk := shuffle.BlockID{
 			Job:             ji.name,
 			Batch:           int64(id.Batch),
 			Stage:           id.Stage,
 			MapPartition:    id.Partition,
-			ReducePartition: target,
+			ReducePartition: r,
 		}
-		sizes[target] = int64(w.store.Put(blk, out))
+		if spec.Combine {
+			sizes[r] = int64(sc.blocks.PutCombined(blk, recs, idx, spec.CombineFunc, bucket))
+		} else {
+			sizes[r] = int64(sc.blocks.Put(blk, recs, idx))
+		}
+	}
+
+	if st := spec.Structure; st != nil {
+		// Known communication structure (§3.6, treeReduce): the whole
+		// (combined) output goes to a single consumer partition.
+		target := st.Consumer(id.Partition)
+		put(target, nil)
 		if notify {
 			w.notifyConsumers(ji, id, placement, sizes[target], func(child, r int) bool {
 				return r == target
@@ -682,26 +750,13 @@ func (w *Worker) writeShuffleOutput(ji *jobInfo, stage *dag.Stage, id core.TaskI
 		return sizes, nil
 	}
 
-	part := data.NewHashPartitioner(spec.NumReducers)
-	parts := data.PartitionRecords(recs, part)
-	for r, out := range parts {
-		if spec.Combine {
-			out = shuffle.Combine(out, spec.CombineFunc, bucket)
-		}
-		blk := shuffle.BlockID{
-			Job:             ji.name,
-			Batch:           int64(id.Batch),
-			Stage:           id.Stage,
-			MapPartition:    id.Partition,
-			ReducePartition: r,
-		}
-		sizes[r] = int64(w.store.Put(blk, out))
+	sc.index.Build(recs, data.NewHashPartitioner(spec.NumReducers))
+	var total int64
+	for r := range sizes {
+		put(r, sc.index.Part(r))
+		total += sizes[r]
 	}
 	if notify {
-		var total int64
-		for _, sz := range sizes {
-			total += sz
-		}
 		w.notifyConsumers(ji, id, placement, total, func(int, int) bool { return true })
 	}
 	return sizes, nil
@@ -763,27 +818,30 @@ func (w *Worker) combineBucket(ji *jobInfo, stage *dag.Stage) shuffle.TimeBucket
 	return shuffle.IdentityBucket
 }
 
-// runTerminal applies a terminal-stage task: windowed state update,
-// per-batch reduction, or raw pass-through, then the sink.
+// runTerminal applies a terminal-stage task that took its input as
+// records: windowed state update, per-batch reduction, or raw pass-through,
+// then the sink.
 func (w *Worker) runTerminal(ji *jobInfo, stage *dag.Stage, id core.TaskID, recs []data.Record) {
 	switch {
 	case stage.Window != nil:
 		key := checkpoint.StateKey{Job: ji.name, Stage: id.Stage, Partition: id.Partition}
-		emitted, dup := w.states.ApplyBatch(key, id.Batch, recs, stage.Reduce, *stage.Window, ji.closeNanos)
-		if dup {
-			return
-		}
-		if len(emitted) > 0 && stage.Sink != nil {
-			stage.Sink(int64(id.Batch), id.Partition, emitted)
-		}
+		emitted, _ := w.states.ApplyBatch(key, id.Batch, recs, stage.Reduce, *stage.Window, ji.closeNanos)
+		w.sink(stage, id, emitted)
 	case stage.Reduce != nil:
-		out := shuffle.Combine(recs, stage.Reduce, shuffle.IdentityBucket)
-		if stage.Sink != nil {
-			stage.Sink(int64(id.Batch), id.Partition, out)
-		}
+		w.sink(stage, id, shuffle.Combine(recs, stage.Reduce, shuffle.IdentityBucket))
 	default:
-		if stage.Sink != nil {
-			stage.Sink(int64(id.Batch), id.Partition, recs)
-		}
+		w.sink(stage, id, recs)
 	}
+}
+
+// sink hands a terminal task's output to the stage's sink, if it has one.
+// A windowed task that closed no window (or was a duplicate) has nothing to
+// say; per-batch stages report every batch, empty or not. Per the SinkFunc
+// contract out is the sink's only until it returns.
+func (w *Worker) sink(stage *dag.Stage, id core.TaskID, out []data.Record) {
+	if stage.Sink == nil || (stage.Window != nil && len(out) == 0) {
+		return
+	}
+	stage.Sink(int64(id.Batch), id.Partition, out)
+	poisonRecords(out)
 }

@@ -565,10 +565,13 @@ func (n *TCPNetwork) dialRoute(key routeKey, addr string) (*tcpConn, error) {
 	n.mu.RUnlock()
 	if bs := n.backoffs[key]; bs != nil {
 		if wait := time.Until(bs.until); wait > 0 {
+			// bs is rewritten under dialMu by whichever dial fails next;
+			// copy what the error reports before letting go of the lock.
+			fails, lastErr := bs.fails, bs.lastErr
 			n.dialMu.Unlock()
 			n.dialsSuppressed.Inc()
 			return nil, fmt.Errorf("%w: %s for %v after %d failure(s): %v",
-				ErrDialBackoff, key.to, wait.Round(time.Millisecond), bs.fails, bs.lastErr)
+				ErrDialBackoff, key.to, wait.Round(time.Millisecond), fails, lastErr)
 		}
 	}
 	call := &dialCall{done: make(chan struct{})}

@@ -175,6 +175,45 @@ func TestTCPDialBackoffAndReconnect(t *testing.T) {
 	}
 }
 
+// TestTCPConcurrentSendsDuringFailingRedial hammers one route to a dead
+// peer from several goroutines with a backoff short enough that redials keep
+// starting and failing while other senders are being turned away. A sender
+// in the back-off branch used to format its error from the route's backoff
+// state after releasing dialMu, racing the failing dial that rewrites that
+// state; under -race this test fails on that read.
+func TestTCPConcurrentSendsDuringFailingRedial(t *testing.T) {
+	cfg := DefaultTCPConfig()
+	cfg.RedialBackoff = 200 * time.Microsecond
+	cfg.RedialBackoffMax = 200 * time.Microsecond
+	n := NewTCPNetworkWithConfig(cfg)
+	defer n.Close()
+	n.Announce("peer", freeAddr(t))
+
+	var backedOff atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				err := n.Send("me", "peer", testMsg{})
+				if err == nil {
+					t.Error("send to a dead peer succeeded")
+					return
+				}
+				if errors.Is(err, ErrDialBackoff) {
+					backedOff.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := n.Stats(); backedOff.Load() == 0 || st.Dials < 2 {
+		t.Fatalf("%d sends backed off over %d dials: the test never overlapped a redial with a back-off",
+			backedOff.Load(), st.Dials)
+	}
+}
+
 // TestTCPConcurrentFirstSendSinglefight verifies that racing first sends on
 // a route share one dial instead of each opening (and then discarding) its
 // own socket.

@@ -1,6 +1,8 @@
 package shuffle
 
 import (
+	"slices"
+
 	"drizzle/internal/dag"
 	"drizzle/internal/data"
 )
@@ -24,6 +26,51 @@ type combineKey struct {
 	bucket int64
 }
 
+// combiner is a reusable partial-aggregation table. It grows with the
+// distinct (key, bucket) groups it has seen, not with the records folded
+// through it, so a combiner kept across tasks settles at the size of the
+// job's key space.
+type combiner struct {
+	table map[combineKey]int64
+	agg   []data.Record // BlockWriter's drained output, reused per block
+}
+
+// fold merges recs[idx[0]], recs[idx[1]], ... (every record when idx is
+// nil) into the table.
+func (c *combiner) fold(recs []data.Record, idx []uint32, f dag.ReduceFunc, bucket TimeBucket) {
+	if c.table == nil {
+		c.table = make(map[combineKey]int64)
+	}
+	add := func(r *data.Record) {
+		k := combineKey{key: r.Key, bucket: bucket(r.Time)}
+		if v, ok := c.table[k]; ok {
+			c.table[k] = f(v, r.Val)
+		} else {
+			c.table[k] = r.Val
+		}
+	}
+	if idx == nil {
+		for i := range recs {
+			add(&recs[i])
+		}
+		return
+	}
+	for _, i := range idx {
+		add(&recs[i])
+	}
+}
+
+// drain appends one record per group to dst, Time being the bucket value,
+// and empties the table.
+func (c *combiner) drain(dst []data.Record) []data.Record {
+	dst = slices.Grow(dst, len(c.table))
+	for k, v := range c.table {
+		dst = append(dst, data.Record{Key: k.key, Val: v, Time: k.bucket})
+	}
+	clear(c.table)
+	return dst
+}
+
 // Combine partially aggregates records by (key, time bucket) with f,
 // emitting one record per group whose Time is the bucket value. This is the
 // partial-merge aggregation the paper's workload analysis (Table 2) found
@@ -34,18 +81,7 @@ func Combine(recs []data.Record, f dag.ReduceFunc, bucket TimeBucket) []data.Rec
 	if len(recs) == 0 {
 		return recs
 	}
-	agg := make(map[combineKey]int64, len(recs)/2+1)
-	for i := range recs {
-		k := combineKey{key: recs[i].Key, bucket: bucket(recs[i].Time)}
-		if v, ok := agg[k]; ok {
-			agg[k] = f(v, recs[i].Val)
-		} else {
-			agg[k] = recs[i].Val
-		}
-	}
-	out := make([]data.Record, 0, len(agg))
-	for k, v := range agg {
-		out = append(out, data.Record{Key: k.key, Val: v, Time: k.bucket})
-	}
-	return out
+	var c combiner
+	c.fold(recs, nil, f, bucket)
+	return c.drain(nil)
 }

@@ -1,6 +1,8 @@
 package shuffle
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -18,15 +20,19 @@ func TestStorePutGet(t *testing.T) {
 	if size <= 0 {
 		t.Fatal("Put returned non-positive size")
 	}
-	got, ok, err := s.Get(id)
-	if err != nil || !ok {
-		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	raw, ok := s.GetRaw(id)
+	if !ok || len(raw) != size {
+		t.Fatalf("GetRaw: ok=%v, %d bytes, Put reported %d", ok, len(raw), size)
+	}
+	got, _, err := data.DecodeBatch(raw)
+	if err != nil {
+		t.Fatalf("DecodeBatch: %v", err)
 	}
 	if len(got) != 2 || got[0].Val != 10 || got[1].Val != 20 {
-		t.Fatalf("Get = %v", got)
+		t.Fatalf("stored block decodes to %v", got)
 	}
-	if _, ok, _ := s.Get(BlockID{Batch: 9}); ok {
-		t.Fatal("Get of absent block succeeded")
+	if _, ok := s.GetRaw(BlockID{Batch: 9}); ok {
+		t.Fatal("GetRaw of absent block succeeded")
 	}
 }
 
@@ -131,6 +137,56 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
+}
+
+// TestPutCombinedMatchesNaiveAggregation drives the engine's combine path —
+// one BlockWriter reused for every block of several map tasks, each block
+// folded through one partition of an index — against a plain map per
+// reducer. A table that kept groups from the previous block, or a fold that
+// read the wrong partition, shows up as a wrong or extra aggregate.
+func TestPutCombinedMatchesNaiveAggregation(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	win := dag.WindowSpec{Size: 10 * time.Millisecond}
+	bucket := WindowBucket(win)
+	store := NewStore()
+	writer := NewBlockWriter(store)
+	var index data.PartitionIndex
+	for task, n := range []int{3000, 10, 0, 800} {
+		const reducers = 3
+		recs := make([]data.Record, n)
+		want := make([]map[combineKey]int64, reducers)
+		for r := range want {
+			want[r] = make(map[combineKey]int64)
+		}
+		part := data.NewHashPartitioner(reducers)
+		for i := range recs {
+			recs[i] = data.Record{Key: uint64(rng.Intn(40)), Val: int64(rng.Intn(9)), Time: int64(rng.Intn(int(35 * time.Millisecond)))}
+			want[part.Partition(recs[i].Key)][combineKey{recs[i].Key, bucket(recs[i].Time)}] += recs[i].Val
+		}
+		index.Build(recs, part)
+		for r := 0; r < reducers; r++ {
+			id := BlockID{Batch: int64(task), ReducePartition: r}
+			size := writer.PutCombined(id, recs, index.Part(r), dag.Sum, bucket)
+			raw, ok := store.GetRaw(id)
+			if !ok || len(raw) != size {
+				t.Fatalf("task %d reducer %d: stored=%v, %d bytes, PutCombined reported %d", task, r, ok, len(raw), size)
+			}
+			out, _, err := data.DecodeBatch(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[combineKey]int64)
+			for _, rec := range out {
+				if _, dup := got[combineKey{rec.Key, rec.Time}]; dup {
+					t.Fatalf("task %d reducer %d: group (%d, %d) emitted twice", task, r, rec.Key, rec.Time)
+				}
+				got[combineKey{rec.Key, rec.Time}] = rec.Val
+			}
+			if !reflect.DeepEqual(got, want[r]) {
+				t.Fatalf("task %d reducer %d: combined block holds %v, want %v", task, r, got, want[r])
+			}
+		}
+	}
 }
 
 func TestCombineEmpty(t *testing.T) {

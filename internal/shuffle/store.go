@@ -9,6 +9,7 @@ package shuffle
 import (
 	"sync"
 
+	"drizzle/internal/dag"
 	"drizzle/internal/data"
 	"drizzle/internal/metrics"
 )
@@ -66,11 +67,53 @@ func (s *Store) gaugesLocked() {
 // size. Re-putting a block (recovery re-runs a map task) overwrites it. The
 // stored bytes are what remote fetchers receive verbatim: encoding — and
 // compression — happens exactly once, here, never on the serving path.
+// Callers that write block after block keep a BlockWriter instead, which
+// reuses its buffers.
 func (s *Store) Put(id BlockID, recs []data.Record) int {
-	b := data.EncodeBatchColumnar(make([]byte, 0, data.EncodedSize(recs)), recs)
-	b = data.CompressBatch(b, blockCompressThreshold)
-	s.PutRaw(id, b)
-	return len(b)
+	return NewBlockWriter(s).Put(id, recs, nil)
+}
+
+// BlockWriter writes map output into a Store block by block, reusing its
+// encode and compress buffers and its combine table from one block to the
+// next: the only memory a Put leaves behind is the stored block itself, at
+// its exact size. An executor slot owns one for its lifetime; it is not safe
+// for concurrent use.
+//
+// Nothing passed to a BlockWriter is retained: recs and idx are read during
+// the call only, and the stored block is a copy.
+type BlockWriter struct {
+	store *Store
+	enc   []byte // columnar encoding of the block being written
+	comp  []byte // its compressed envelope
+	combiner
+}
+
+// NewBlockWriter returns a writer storing into s.
+func NewBlockWriter(s *Store) *BlockWriter { return &BlockWriter{store: s} }
+
+// Put encodes the records recs[idx[0]], recs[idx[1]], ... — every record, in
+// order, when idx is nil — as one block stored under id, and returns the
+// stored size. idx is typically one partition of a data.PartitionIndex over
+// the map task's whole output, which is then never copied apart.
+func (w *BlockWriter) Put(id BlockID, recs []data.Record, idx []uint32) int {
+	w.enc = data.AppendColumnar(w.enc[:0], recs, idx)
+	block := w.enc
+	if len(block) >= blockCompressThreshold {
+		var ok bool
+		if w.comp, ok = data.AppendCompressed(w.comp[:0], block); ok {
+			block = w.comp
+		}
+	}
+	w.store.PutRaw(id, append(make([]byte, 0, len(block)), block...))
+	return len(block)
+}
+
+// PutCombined partially aggregates the selected records by (key, time
+// bucket) with f, as Combine does, and stores the aggregates as one block.
+func (w *BlockWriter) PutCombined(id BlockID, recs []data.Record, idx []uint32, f dag.ReduceFunc, bucket TimeBucket) int {
+	w.fold(recs, idx, f, bucket)
+	w.agg = w.drain(w.agg[:0])
+	return w.Put(id, w.agg, nil)
 }
 
 // PutRaw stores pre-encoded bytes under id.
@@ -91,19 +134,6 @@ func (s *Store) GetRaw(id BlockID) ([]byte, bool) {
 	b, ok := s.blocks[id]
 	s.mu.RUnlock()
 	return b, ok
-}
-
-// Get decodes and returns a block's records.
-func (s *Store) Get(id BlockID) ([]data.Record, bool, error) {
-	b, ok := s.GetRaw(id)
-	if !ok {
-		return nil, false, nil
-	}
-	recs, _, err := data.DecodeBatch(b)
-	if err != nil {
-		return nil, true, err
-	}
-	return recs, true, nil
 }
 
 // PurgeBefore drops all blocks of micro-batches older than batch

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 var (
@@ -169,18 +170,29 @@ func DecodedLen(src []byte) (length, headerLen int, err error) {
 
 // Decode decompresses an encoded block into a fresh slice.
 func Decode(src []byte) ([]byte, error) {
+	return AppendDecoded(nil, src)
+}
+
+// AppendDecoded decompresses an encoded block onto the end of dst and
+// returns the extended slice. It allocates only when dst lacks the
+// capacity, so a caller that reuses dst decompresses block after block
+// without allocating. On error dst is returned at its original length.
+func AppendDecoded(dst, src []byte) ([]byte, error) {
+	base := len(dst)
 	dLen, hdr, err := DecodedLen(src)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	// Plausibility before allocation: legitimate snappy cannot expand more
 	// than maxExpansion x the compressed body.
 	body := len(src) - hdr
 	if dLen > maxExpansion*body+64 {
-		return nil, fmt.Errorf("%w: claimed %d bytes from %d compressed", ErrCorrupt, dLen, body)
+		return dst, fmt.Errorf("%w: claimed %d bytes from %d compressed", ErrCorrupt, dLen, body)
 	}
-	dst := make([]byte, dLen)
-	j := 0 // write position in dst
+	grown := slices.Grow(dst, dLen)[:base+dLen]
+	dst = grown[:base] // what every error path returns
+	out := grown[base:]
+	j := 0 // write position in out
 	i := hdr
 	for i < len(src) {
 		tag := src[i]
@@ -192,7 +204,7 @@ func Decode(src []byte) ([]byte, error) {
 			if l >= 60 {
 				extra := l - 59 // 60..63 -> 1..4 trailing length bytes
 				if len(src)-i < extra {
-					return nil, fmt.Errorf("%w: truncated literal length", ErrCorrupt)
+					return dst, fmt.Errorf("%w: truncated literal length", ErrCorrupt)
 				}
 				l = 0
 				for k := extra - 1; k >= 0; k-- {
@@ -202,46 +214,46 @@ func Decode(src []byte) ([]byte, error) {
 			}
 			length = l + 1
 			if length > len(src)-i {
-				return nil, fmt.Errorf("%w: literal of %d overruns input", ErrCorrupt, length)
+				return dst, fmt.Errorf("%w: literal of %d overruns input", ErrCorrupt, length)
 			}
 			if length > dLen-j {
-				return nil, fmt.Errorf("%w: literal of %d overruns output", ErrCorrupt, length)
+				return dst, fmt.Errorf("%w: literal of %d overruns output", ErrCorrupt, length)
 			}
-			copy(dst[j:], src[i:i+length])
+			copy(out[j:], src[i:i+length])
 			i += length
 			j += length
 			continue
 		case tagCopy1:
 			if len(src)-i < 2 {
-				return nil, fmt.Errorf("%w: truncated copy1", ErrCorrupt)
+				return dst, fmt.Errorf("%w: truncated copy1", ErrCorrupt)
 			}
 			length = 4 + int(tag>>2)&0x7
 			offset = int(tag&0xe0)<<3 | int(src[i+1])
 			i += 2
 		case tagCopy2:
 			if len(src)-i < 3 {
-				return nil, fmt.Errorf("%w: truncated copy2", ErrCorrupt)
+				return dst, fmt.Errorf("%w: truncated copy2", ErrCorrupt)
 			}
 			length = 1 + int(tag>>2)
 			offset = int(binary.LittleEndian.Uint16(src[i+1:]))
 			i += 3
 		case tagCopy4:
 			if len(src)-i < 5 {
-				return nil, fmt.Errorf("%w: truncated copy4", ErrCorrupt)
+				return dst, fmt.Errorf("%w: truncated copy4", ErrCorrupt)
 			}
 			length = 1 + int(tag>>2)
 			o := binary.LittleEndian.Uint32(src[i+1:])
 			if o > maxDecodedLen {
-				return nil, fmt.Errorf("%w: copy4 offset %d", ErrCorrupt, o)
+				return dst, fmt.Errorf("%w: copy4 offset %d", ErrCorrupt, o)
 			}
 			offset = int(o)
 			i += 5
 		}
 		if offset <= 0 || offset > j {
-			return nil, fmt.Errorf("%w: copy offset %d at output position %d", ErrCorrupt, offset, j)
+			return dst, fmt.Errorf("%w: copy offset %d at output position %d", ErrCorrupt, offset, j)
 		}
 		if length > dLen-j {
-			return nil, fmt.Errorf("%w: copy of %d overruns output", ErrCorrupt, length)
+			return dst, fmt.Errorf("%w: copy of %d overruns output", ErrCorrupt, length)
 		}
 		// Forward copy in waves: each pass moves min(length, j-from)
 		// bytes, so an overlapping copy (offset < length, the RLE case)
@@ -249,13 +261,13 @@ func Decode(src []byte) ([]byte, error) {
 		// byte at a time, and a non-overlapping copy finishes in one.
 		from := j - offset
 		for length > 0 {
-			n := copy(dst[j:j+length], dst[from:j])
+			n := copy(out[j:j+length], out[from:j])
 			j += n
 			length -= n
 		}
 	}
 	if j != dLen {
-		return nil, fmt.Errorf("%w: decoded %d bytes, header claimed %d", ErrCorrupt, j, dLen)
+		return dst, fmt.Errorf("%w: decoded %d bytes, header claimed %d", ErrCorrupt, j, dLen)
 	}
-	return dst, nil
+	return grown, nil
 }

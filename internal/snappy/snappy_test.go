@@ -51,6 +51,45 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendDecodedReusesAndKeepsPrefix covers what Decode alone does not:
+// decompressing onto a buffer that already holds something. Back-references
+// must resolve against the block's own output, never the prefix; a second
+// block goes after the first; a buffer with room is not reallocated; and a
+// corrupt block hands the buffer back at the length it came in with.
+func TestAppendDecodedReusesAndKeepsPrefix(t *testing.T) {
+	first := bytes.Repeat([]byte("abcdefgh"), 600)
+	second := bytes.Repeat([]byte{7}, 3000)
+	buf := append(make([]byte, 0, 16<<10), "prefix"...)
+	backing := &buf[:1][0]
+	for _, src := range [][]byte{first, second} {
+		base := len(buf)
+		var err error
+		if buf, err = AppendDecoded(buf, AppendEncoded(nil, src)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf[base:], src) {
+			t.Fatalf("block appended at %d did not round-trip", base)
+		}
+	}
+	if string(buf[:6]) != "prefix" || !bytes.Equal(buf[6:6+len(first)], first) {
+		t.Fatal("appending a block disturbed what the buffer already held")
+	}
+	if &buf[0] != backing {
+		t.Fatal("a buffer with capacity to spare was reallocated")
+	}
+	before := len(buf)
+	// Its first copy reaches two bytes back with one byte of output: into
+	// the prefix, were offsets not relative to the block's own start.
+	bad := []byte{8, 0x00 | 0<<2, 'a', byte(3)<<2 | tagCopy2, 2, 0}
+	got, err := AppendDecoded(buf, bad)
+	if err == nil {
+		t.Fatal("copy reaching before the block's own output decoded without error")
+	}
+	if len(got) != before {
+		t.Fatalf("failed decode returned the buffer at length %d, came in at %d", len(got), before)
+	}
+}
+
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":                 {},
