@@ -16,6 +16,15 @@ func TestHashStringDeterministic(t *testing.T) {
 	}
 }
 
+// TestHashBytesMatchesHashString: a key hashed in a payload must land on the
+// same reducer, and resolve in the same Dictionary, as the string would.
+func TestHashBytesMatchesHashString(t *testing.T) {
+	f := func(b []byte) bool { return HashBytes(b) == HashString(string(b)) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDictionaryRoundTrip(t *testing.T) {
 	d := NewDictionary()
 	h := d.Add("session-42")

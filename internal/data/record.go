@@ -51,6 +51,21 @@ func HashString(s string) uint64 {
 	return h
 }
 
+// HashBytes is HashString for a key that is still a slice of a payload: the
+// same hash, without making a string of the bytes.
+func HashBytes(b []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
+}
+
 // Dictionary is a concurrency-safe bidirectional map between string keys and
 // their uint64 hashes. Workloads register keys once at setup; sinks use it to
 // print human-readable results.

@@ -41,11 +41,12 @@ func DefaultVideoConfig() VideoConfig {
 
 // Video is an instance of the workload with a precomputed Zipf CDF.
 type Video struct {
-	cfg     VideoConfig
-	keys    []uint64 // session key hashes
-	cdf     []uint64 // scaled cumulative distribution over sessions
-	dict    *data.Dictionary
-	padding string
+	cfg          VideoConfig
+	keys         []uint64 // session key hashes
+	cdf          []uint64 // scaled cumulative distribution over sessions
+	dict         *data.Dictionary
+	padding      string
+	heartbeatMax int // upper bound on the length of one rendered heartbeat
 }
 
 // NewVideo precomputes session keys and the Zipf sampling table.
@@ -73,6 +74,10 @@ func NewVideo(cfg VideoConfig) *Video {
 	// Heartbeats carry client metadata; pad the document so records are
 	// several times larger than ad events, as in the paper's comparison.
 	v.padding = `"player":"html5-v3.2.1","cdn":"edge-cache-west-2a","os":"android-14","app_version":"tv-9.4.133","device":"smarttv-2021-qled","network":"wifi-5ghz","drm":"widevine-l1","buffer_ratio":0.0132,"dropped_frames":3,"bandwidth_est_kbps":18250,"geo":"us-west-2"`
+	// What appendHeartbeat renders at most: its literal text plus the widest
+	// value of every variable field.
+	v.heartbeatMax = len(`{"session_id":"session-","event":"bitrate_change","bitrate_kbps":4399,"ts":,}`) +
+		len(strconv.Itoa(cfg.Sessions-1)) + maxInt64Len + len(v.padding)
 	return v
 }
 
@@ -99,21 +104,26 @@ func (v *Video) WindowSize() time.Duration { return v.cfg.WindowSize }
 
 var heartbeatEvents = [4]string{"play", "buffer", "bitrate_change", "pause"}
 
-// Gen produces heartbeat documents for one partition in [from, to).
+// Gen produces heartbeat documents for one partition in [from, to). As in
+// Yahoo.Gen, the payloads of one call share one arena that dies with the
+// returned records, each capped at its own length.
 func (v *Video) Gen(partition int, from, to int64) []data.Record {
 	if to <= from {
 		return nil
 	}
 	span := to - from
 	n := int(int64(v.cfg.EventsPerSecPerPartition) * span / int64(time.Second))
-	recs := make([]data.Record, 0, n)
-	for i := 0; i < n; i++ {
+	recs := make([]data.Record, n)
+	arena := make([]byte, 0, n*v.heartbeatMax)
+	for i := range recs {
 		at := from + int64(i)*span/int64(n)
 		h := mix(uint64(at) ^ mix(uint64(partition)*31+v.cfg.Seed))
 		sess := v.sampleSession(h)
 		ev := heartbeatEvents[(h>>33)%4]
 		bitrate := 400 + (h>>35)%4000
-		recs = append(recs, data.Record{Time: at, Payload: v.marshalHeartbeat(sess, ev, bitrate, at)})
+		s := len(arena)
+		arena = v.appendHeartbeat(arena, sess, ev, bitrate, at)
+		recs[i] = data.Record{Time: at, Payload: arena[s:len(arena):len(arena)]}
 	}
 	return recs
 }
@@ -125,20 +135,19 @@ func (v *Video) SourceFunc() dag.SourceFunc {
 	}
 }
 
-func (v *Video) marshalHeartbeat(session int, event string, bitrate uint64, at int64) []byte {
-	buf := make([]byte, 0, 256)
-	buf = append(buf, `{"session_id":"session-`...)
-	buf = strconv.AppendInt(buf, int64(session), 10)
-	buf = append(buf, `","event":"`...)
-	buf = append(buf, event...)
-	buf = append(buf, `","bitrate_kbps":`...)
-	buf = strconv.AppendUint(buf, bitrate, 10)
-	buf = append(buf, `,"ts":`...)
-	buf = strconv.AppendInt(buf, at, 10)
-	buf = append(buf, ',')
-	buf = append(buf, v.padding...)
-	buf = append(buf, '}')
-	return buf
+func (v *Video) appendHeartbeat(dst []byte, session int, event string, bitrate uint64, at int64) []byte {
+	dst = append(dst, `{"session_id":"session-`...)
+	dst = strconv.AppendInt(dst, int64(session), 10)
+	dst = append(dst, `","event":"`...)
+	dst = append(dst, event...)
+	dst = append(dst, `","bitrate_kbps":`...)
+	dst = strconv.AppendUint(dst, bitrate, 10)
+	dst = append(dst, `,"ts":`...)
+	dst = strconv.AppendInt(dst, at, 10)
+	dst = append(dst, ',')
+	dst = append(dst, v.padding...)
+	dst = append(dst, '}')
+	return dst
 }
 
 // ParseOp parses heartbeats into session-keyed records (Key = session hash,
@@ -151,66 +160,49 @@ func (v *Video) ParseOp() dag.NarrowOp {
 			if !ok {
 				continue
 			}
-			out = append(out, data.Record{Key: data.HashString(sess), Val: 1, Time: ts})
+			out = append(out, data.Record{Key: data.HashBytes(sess), Val: 1, Time: ts})
 		}
 		return out
 	}
 }
 
-// parseHeartbeat extracts session_id and ts.
-func parseHeartbeat(b []byte) (string, int64, bool) {
-	session, ok := scanStringField(b, `"session_id":"`)
-	if !ok {
-		return "", 0, false
+// parseHeartbeat extracts session_id and ts, in either order, and reads no
+// further than the later of the two: the client metadata behind them is
+// never scanned. The first occurrence of a field counts.
+func parseHeartbeat(b []byte) (sess []byte, ts int64, valid bool) {
+	const (
+		sawSession = 1 << iota
+		sawTS
+	)
+	if len(b) == 0 || b[0] != '{' {
+		return nil, 0, false
 	}
-	tsStr, ok := scanRawField(b, `"ts":`)
-	if !ok {
-		return "", 0, false
-	}
-	ts, err := strconv.ParseInt(tsStr, 10, 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return session, ts, true
-}
-
-func scanStringField(b []byte, prefix string) (string, bool) {
-	idx := indexOf(b, prefix)
-	if idx < 0 {
-		return "", false
-	}
-	start := idx + len(prefix)
-	end := start
-	for end < len(b) && b[end] != '"' {
-		end++
-	}
-	if end >= len(b) {
-		return "", false
-	}
-	return string(b[start:end]), true
-}
-
-func scanRawField(b []byte, prefix string) (string, bool) {
-	idx := indexOf(b, prefix)
-	if idx < 0 {
-		return "", false
-	}
-	start := idx + len(prefix)
-	end := start
-	for end < len(b) && b[end] != ',' && b[end] != '}' {
-		end++
-	}
-	return string(b[start:end]), end > start
-}
-
-func indexOf(b []byte, sub string) int {
-	n, m := len(b), len(sub)
-	for i := 0; i+m <= n; i++ {
-		if string(b[i:i+m]) == sub {
-			return i
+	seen := 0
+	for i := 1; ; {
+		key, val, end := nextField(b, i)
+		if end < 0 {
+			return nil, 0, false
 		}
+		ok := true
+		switch {
+		case string(key) == "session_id" && seen&sawSession == 0:
+			seen |= sawSession
+			sess, ok = plainString(val)
+		case string(key) == "ts" && seen&sawTS == 0:
+			seen |= sawTS
+			ts, ok = parseInt(val)
+		}
+		if !ok {
+			return nil, 0, false
+		}
+		if seen == sawSession|sawTS {
+			return sess, ts, true
+		}
+		if b[end] == '}' {
+			return nil, 0, false
+		}
+		i = end + 1
 	}
-	return -1
 }
 
 // HotSessionShare reports the fraction of a sample of draws landing on the

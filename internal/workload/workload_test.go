@@ -55,14 +55,17 @@ func TestYahooEventsAreValidJSON(t *testing.T) {
 		if err := json.Unmarshal(r.Payload, &doc); err != nil {
 			t.Fatalf("invalid JSON %q: %v", r.Payload, err)
 		}
-		ev, ok := parseAdEvent(r.Payload)
-		if !ok {
-			t.Fatalf("custom parser rejected %q", r.Payload)
+		ad, at, ok := parseViewEvent(r.Payload)
+		if view := doc["event_type"].(string) == "view"; ok != view {
+			t.Fatalf("custom parser kept=%v, event_type is %q: %q", ok, doc["event_type"], r.Payload)
 		}
-		if ev.adID != doc["ad_id"].(string) || ev.eventType != doc["event_type"].(string) {
+		if !ok {
+			continue
+		}
+		if string(ad) != doc["ad_id"].(string) {
 			t.Fatalf("parser mismatch on %q", r.Payload)
 		}
-		if ev.eventTime != int64(doc["event_time"].(float64)) {
+		if at != r.Time {
 			t.Fatalf("event_time mismatch on %q", r.Payload)
 		}
 	}
@@ -90,7 +93,7 @@ func TestYahooParseFilterJoin(t *testing.T) {
 	}
 }
 
-func TestParseAdEventRejectsGarbage(t *testing.T) {
+func TestParseViewEventRejectsGarbage(t *testing.T) {
 	bad := [][]byte{
 		nil,
 		[]byte("not json"),
@@ -99,17 +102,17 @@ func TestParseAdEventRejectsGarbage(t *testing.T) {
 		[]byte(`{"event_time":abc,"ad_id":"x","event_type":"view"}`),
 	}
 	for _, b := range bad {
-		if _, ok := parseAdEvent(b); ok {
+		if _, _, ok := parseViewEvent(b); ok {
 			t.Errorf("parser accepted %q", b)
 		}
 	}
 }
 
-func TestParseAdEventFieldOrder(t *testing.T) {
+func TestParseViewEventFieldOrder(t *testing.T) {
 	doc := []byte(`{"event_time":42,"event_type":"view","ad_id":"ad-1"}`)
-	ev, ok := parseAdEvent(doc)
-	if !ok || ev.adID != "ad-1" || ev.eventTime != 42 {
-		t.Fatalf("order-independent parse failed: %+v ok=%v", ev, ok)
+	ad, at, ok := parseViewEvent(doc)
+	if !ok || string(ad) != "ad-1" || at != 42 {
+		t.Fatalf("order-independent parse failed: ad=%q at=%d ok=%v", ad, at, ok)
 	}
 }
 

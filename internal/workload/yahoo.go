@@ -62,6 +62,7 @@ type Yahoo struct {
 	adToCamp  map[string]uint64
 	campNames []string
 	dict      *data.Dictionary
+	eventMax  int // upper bound on the length of one rendered event
 }
 
 // NewYahoo builds the campaign/ad tables.
@@ -74,6 +75,7 @@ func NewYahoo(cfg YahooConfig) *Yahoo {
 		adToCamp: make(map[string]uint64),
 		dict:     data.NewDictionary(),
 	}
+	longestAd := 0
 	for c := 0; c < cfg.Campaigns; c++ {
 		camp := fmt.Sprintf("campaign-%04d", c)
 		campHash := y.dict.Add(camp)
@@ -82,8 +84,14 @@ func NewYahoo(cfg YahooConfig) *Yahoo {
 			ad := fmt.Sprintf("ad-%04d-%02d", c, a)
 			y.adIDs = append(y.adIDs, ad)
 			y.adToCamp[ad] = campHash
+			longestAd = max(longestAd, len(ad))
 		}
 	}
+	// What appendEvent renders at most: its literal text plus the widest
+	// value of every variable field. Falling short costs a second arena,
+	// which TestEventPathAllocations reports.
+	y.eventMax = len(`{"user_id":"user-99999","page_id":"page-999","ad_id":"","ad_type":"banner","event_type":"purchase","event_time":,"ip_address":"10.255.255.1"}`) +
+		longestAd + maxInt64Len
 	return y
 }
 
@@ -94,6 +102,9 @@ func (y *Yahoo) Dictionary() *data.Dictionary { return y.dict }
 func (y *Yahoo) CampaignName(h uint64) (string, bool) { return y.dict.Lookup(h) }
 
 var eventTypes = [3]string{"view", "click", "purchase"}
+
+// maxInt64Len is the length of the longest decimal int64.
+const maxInt64Len = len("-9223372036854775808")
 
 // mix is a splitmix64-style hash used to derive per-event attributes.
 func mix(x uint64) uint64 {
@@ -106,20 +117,27 @@ func mix(x uint64) uint64 {
 // Gen produces the JSON ad events of one partition with event times in
 // [from, to) — the continuous-engine GenFunc shape. Each record's Payload
 // is the JSON document; Key/Val are unset until parsing.
+//
+// Every payload of one call is a slice of one arena allocated by that call,
+// capped at its own length so that an append copies instead of writing over
+// the next event. Nothing keeps the arena beyond the returned records: it is
+// garbage when they are.
 func (y *Yahoo) Gen(partition int, from, to int64) []data.Record {
 	if to <= from {
 		return nil
 	}
 	span := to - from
 	n := int(int64(y.cfg.EventsPerSecPerPartition) * span / int64(time.Second))
-	recs := make([]data.Record, 0, n)
-	for i := 0; i < n; i++ {
+	recs := make([]data.Record, n)
+	arena := make([]byte, 0, n*y.eventMax)
+	for i := range recs {
 		at := from + int64(i)*span/int64(n)
 		h := mix(uint64(at) ^ mix(uint64(partition)+y.cfg.Seed))
 		ad := y.adIDs[h%uint64(len(y.adIDs))]
 		etype := eventTypes[(h>>32)%3]
-		payload := y.marshalEvent(h, ad, etype, at)
-		recs = append(recs, data.Record{Time: at, Payload: payload})
+		s := len(arena)
+		arena = appendEvent(arena, h, ad, etype, at)
+		recs[i] = data.Record{Time: at, Payload: arena[s:len(arena):len(arena)]}
 	}
 	return recs
 }
@@ -131,27 +149,26 @@ func (y *Yahoo) SourceFunc() dag.SourceFunc {
 	}
 }
 
-// marshalEvent renders the benchmark's JSON document. Hand-rolled to keep
-// generation cheap relative to parsing (generation is the harness, parsing
-// is the system under test).
-func (y *Yahoo) marshalEvent(h uint64, ad, etype string, at int64) []byte {
-	buf := make([]byte, 0, 224)
-	buf = append(buf, `{"user_id":"user-`...)
-	buf = strconv.AppendUint(buf, h%100000, 10)
-	buf = append(buf, `","page_id":"page-`...)
-	buf = strconv.AppendUint(buf, (h>>16)%1000, 10)
-	buf = append(buf, `","ad_id":"`...)
-	buf = append(buf, ad...)
-	buf = append(buf, `","ad_type":"banner","event_type":"`...)
-	buf = append(buf, etype...)
-	buf = append(buf, `","event_time":`...)
-	buf = strconv.AppendInt(buf, at, 10)
-	buf = append(buf, `,"ip_address":"10.`...)
-	buf = strconv.AppendUint(buf, (h>>40)&255, 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, (h>>48)&255, 10)
-	buf = append(buf, `.1"}`...)
-	return buf
+// appendEvent renders the benchmark's JSON document onto dst. Hand-rolled to
+// keep generation cheap relative to parsing (generation is the harness,
+// parsing is the system under test).
+func appendEvent(dst []byte, h uint64, ad, etype string, at int64) []byte {
+	dst = append(dst, `{"user_id":"user-`...)
+	dst = strconv.AppendUint(dst, h%100000, 10)
+	dst = append(dst, `","page_id":"page-`...)
+	dst = strconv.AppendUint(dst, (h>>16)%1000, 10)
+	dst = append(dst, `","ad_id":"`...)
+	dst = append(dst, ad...)
+	dst = append(dst, `","ad_type":"banner","event_type":"`...)
+	dst = append(dst, etype...)
+	dst = append(dst, `","event_time":`...)
+	dst = strconv.AppendInt(dst, at, 10)
+	dst = append(dst, `,"ip_address":"10.`...)
+	dst = strconv.AppendUint(dst, (h>>40)&255, 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, (h>>48)&255, 10)
+	dst = append(dst, `.1"}`...)
+	return dst
 }
 
 // ParseFilterJoinOp returns the narrow-operator chain of the benchmark as a
@@ -162,102 +179,65 @@ func (y *Yahoo) ParseFilterJoinOp() dag.NarrowOp {
 	return func(in []data.Record) []data.Record {
 		out := in[:0]
 		for _, r := range in {
-			ev, ok := parseAdEvent(r.Payload)
-			if !ok || ev.eventType != "view" {
-				continue
-			}
-			camp, ok := y.adToCamp[ev.adID]
+			ad, at, ok := parseViewEvent(r.Payload)
 			if !ok {
 				continue
 			}
-			out = append(out, data.Record{Key: camp, Val: 1, Time: ev.eventTime})
+			camp, ok := y.adToCamp[string(ad)]
+			if !ok {
+				continue
+			}
+			out = append(out, data.Record{Key: camp, Val: 1, Time: at})
 		}
 		return out
 	}
 }
 
-// adEvent is the projection of the JSON document the pipeline needs.
-type adEvent struct {
-	adID      string
-	eventType string
-	eventTime int64
-}
-
-// parseAdEvent extracts ad_id, event_type and event_time from the JSON
-// document with a purpose-built scanner: the benchmark measures the cost of
-// deserialization on the critical path, so the parser is real (validates
-// structure, handles arbitrary field order) but does not build a generic
-// document tree.
-func parseAdEvent(b []byte) (adEvent, bool) {
-	var ev adEvent
-	var seen int
-	i := 0
-	n := len(b)
-	if n == 0 || b[0] != '{' {
-		return ev, false
+// parseViewEvent extracts ad_id and event_time from a view event, in any
+// field order, and reports false for every other document. It gives up at
+// the first field that disqualifies the document — two thirds of the stream
+// are clicks and purchases, dropped whatever follows their event_type — and
+// otherwise validates it to its closing brace. A document that repeats one
+// of the three fields is malformed.
+func parseViewEvent(b []byte) (ad []byte, at int64, kept bool) {
+	const (
+		sawAd = 1 << iota
+		sawType
+		sawTime
+	)
+	if len(b) == 0 || b[0] != '{' {
+		return nil, 0, false
 	}
-	i = 1
-	for i < n {
-		// Find key.
-		for i < n && (b[i] == ',' || b[i] == ' ') {
-			i++
+	seen := 0
+	for i := 1; ; {
+		key, val, end := nextField(b, i)
+		if end < 0 {
+			return nil, 0, false
 		}
-		if i < n && b[i] == '}' {
-			break
+		bit, ok := 0, true
+		switch string(key) {
+		case "ad_id":
+			bit = sawAd
+			ad, ok = plainString(val)
+		case "event_type":
+			bit = sawType
+			ok = string(val) == `"view"`
+		case "event_time":
+			bit = sawTime
+			at, ok = parseInt(val)
 		}
-		if i >= n || b[i] != '"' {
-			return ev, false
+		if !ok || seen&bit != 0 {
+			return nil, 0, false
 		}
-		keyStart := i + 1
-		j := keyStart
-		for j < n && b[j] != '"' {
-			j++
-		}
-		if j >= n {
-			return ev, false
-		}
-		key := b[keyStart:j]
-		i = j + 1
-		if i >= n || b[i] != ':' {
-			return ev, false
-		}
-		i++
-		// Parse value (string or number).
-		if i < n && b[i] == '"' {
-			valStart := i + 1
-			j = valStart
-			for j < n && b[j] != '"' {
-				j++
+		seen |= bit
+		if b[end] == '}' {
+			if seen != sawAd|sawType|sawTime || end != len(b)-1 {
+				return nil, 0, false
 			}
-			if j >= n {
-				return ev, false
-			}
-			switch string(key) {
-			case "ad_id":
-				ev.adID = string(b[valStart:j])
-				seen++
-			case "event_type":
-				ev.eventType = string(b[valStart:j])
-				seen++
-			}
-			i = j + 1
-		} else {
-			j = i
-			for j < n && b[j] != ',' && b[j] != '}' {
-				j++
-			}
-			if string(key) == "event_time" {
-				v, err := strconv.ParseInt(string(b[i:j]), 10, 64)
-				if err != nil {
-					return ev, false
-				}
-				ev.eventTime = v
-				seen++
-			}
-			i = j
+			return ad, at, true
 		}
+		i = end + 1
 	}
-	return ev, seen == 3
 }
 
 // WindowSize returns the configured tumbling window.
