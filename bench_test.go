@@ -196,7 +196,7 @@ func BenchmarkRecordEncodeDecode(b *testing.B) {
 	buf := make([]byte, 0, data.EncodedSize(recs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = data.EncodeBatch(buf[:0], recs)
+		buf = data.EncodeBatchColumnar(buf[:0], recs)
 		if _, _, err := data.DecodeBatch(buf); err != nil {
 			b.Fatal(err)
 		}

@@ -18,9 +18,17 @@ import (
 // an executor slot does, without the cluster around it: every map task
 // indexes its output by reducer and writes one block per reducer through a
 // reused BlockWriter, then every reduce task opens its blocks and folds them
-// into window state. One op is one micro-batch (mapParts map tasks and
-// reduceParts reduce tasks); ns/record and B/record divide by the records
-// that entered the map side, so the two shapes compare directly.
+// into window state. One op of path is one micro-batch (mapParts map tasks
+// and reduceParts reduce tasks); ns/record and B/record divide by the
+// records that entered the map side, so the two shapes compare directly, and
+// stored-B/record is what the block store holds for them.
+//
+// The other sub-benchmarks time one kernel of the path each, over the same
+// batch's blocks, per record that kernel handles: encode (AppendColumnar
+// through the index), compress (the snappy envelope, forced on every
+// block), validate (OpenBatch of the plain blocks), iterate (BatchIter over
+// them), fold (ApplyBlocks into window state that never closes) and, for
+// the combining shape, combine (the AggTable fold and drain).
 //
 //   - sessions: pre-keyed Zipf records, no combine — every record is encoded,
 //     compressed, stored, decompressed and folded (the sessions-groupby
@@ -64,67 +72,176 @@ func BenchmarkShufflePath(b *testing.B) {
 					inputs[m][i] = data.Record{Key: pick(), Val: 1}
 				}
 			}
-			var (
-				win        = dag.WindowSpec{Size: shape.window}
-				bucket     = shuffle.WindowBucket(win)
-				part       = data.NewHashPartitioner(reduceParts)
-				store      = shuffle.NewStore()
-				states     = engine.NewStateStore()
-				closeNanos = func(bt core.BatchID) int64 { return epoch + int64(bt+1)*int64(interval) }
-				// One slot's worth of scratch, as in the engine.
-				index   data.PartitionIndex
-				writer  = shuffle.NewBlockWriter(store)
-				inflate []byte
-				batches []data.Batch
-			)
-			blockID := func(bt int64, m, r int) shuffle.BlockID {
-				return shuffle.BlockID{Job: "bench", Batch: bt, MapPartition: m, ReducePartition: r}
-			}
-			batch := func(bt int64) {
+			retime := func(bt int64) {
 				start := epoch + bt*int64(interval)
-				for m, recs := range inputs {
+				for _, recs := range inputs {
 					for i := range recs {
 						recs[i].Time = start + int64(i)*int64(interval)/int64(len(recs))
 					}
-					index.Build(recs, part)
+				}
+			}
+			win := dag.WindowSpec{Size: shape.window}
+			bucket := shuffle.WindowBucket(win)
+			part := data.NewHashPartitioner(reduceParts)
+			records := float64(mapParts * shape.perTask)
+
+			b.Run("path", func(b *testing.B) {
+				var (
+					store      = shuffle.NewStore()
+					states     = engine.NewStateStore()
+					closeNanos = func(bt core.BatchID) int64 { return epoch + int64(bt+1)*int64(interval) }
+					// One slot's worth of scratch, as in the engine.
+					index   data.PartitionIndex
+					writer  = shuffle.NewBlockWriter(store)
+					inflate []byte
+					batches []data.Batch
+					agg     shuffle.AggTable
+				)
+				blockID := func(bt int64, m, r int) shuffle.BlockID {
+					return shuffle.BlockID{Job: "bench", Batch: bt, MapPartition: m, ReducePartition: r}
+				}
+				var stored int64 // by the last batch
+				batch := func(bt int64) {
+					retime(bt)
+					stored = 0
+					for m, recs := range inputs {
+						index.Build(recs, part)
+						for r := 0; r < reduceParts; r++ {
+							if shape.combine {
+								stored += int64(writer.PutCombined(blockID(bt, m, r), recs, index.Part(r), dag.Sum, bucket))
+							} else {
+								stored += int64(writer.Put(blockID(bt, m, r), recs, index.Part(r)))
+							}
+						}
+					}
 					for r := 0; r < reduceParts; r++ {
-						if shape.combine {
-							writer.PutCombined(blockID(bt, m, r), recs, index.Part(r), dag.Sum, bucket)
-						} else {
-							writer.Put(blockID(bt, m, r), recs, index.Part(r))
+						inflate, batches = inflate[:0], batches[:0]
+						for m := 0; m < mapParts; m++ {
+							raw, _ := store.GetRaw(blockID(bt, m, r))
+							blk, err := data.OpenBatch(raw, &inflate)
+							if err != nil {
+								b.Fatal(err)
+							}
+							batches = append(batches, blk)
 						}
+						key := checkpoint.StateKey{Job: "bench", Stage: 1, Partition: r}
+						states.ApplyBlocks(key, core.BatchID(bt), batches, dag.Sum, win, closeNanos, &agg)
 					}
+					store.PurgeBefore(bt)
 				}
+				for bt := int64(0); bt < 6; bt++ { // fill the window maps and the scratch
+					batch(bt)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					batch(6 + int64(i))
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				total := float64(b.N) * records
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/record")
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/record")
+				b.ReportMetric(float64(stored)/records, "stored-B/record")
+			})
+
+			// The kernels' input: batch 0's blocks, each reducer's share of each
+			// map task (combined first for the combining shape), plain and
+			// compressed, and opened.
+			retime(0)
+			type block struct {
+				recs  []data.Record
+				idx   []uint32
+				plain []byte
+			}
+			var blocks []block
+			var table shuffle.AggTable
+			var index data.PartitionIndex
+			byReducer := make([][]data.Batch, reduceParts)
+			blockRecords, plainBytes := 0, 0
+			for _, recs := range inputs {
+				index.Build(recs, part)
 				for r := 0; r < reduceParts; r++ {
-					inflate, batches = inflate[:0], batches[:0]
-					for m := 0; m < mapParts; m++ {
-						raw, _ := store.GetRaw(blockID(bt, m, r))
-						blk, err := data.OpenBatch(raw, &inflate)
-						if err != nil {
-							b.Fatal(err)
-						}
-						batches = append(batches, blk)
+					blk := block{recs: recs, idx: append([]uint32(nil), index.Part(r)...)}
+					if shape.combine {
+						table.Fold(recs, blk.idx, dag.Sum, bucket)
+						blk.recs, blk.idx = table.Drain(nil), nil
 					}
-					key := checkpoint.StateKey{Job: "bench", Stage: 1, Partition: r}
-					states.ApplyBlocks(key, core.BatchID(bt), batches, dag.Sum, win, closeNanos)
+					blk.plain = data.AppendColumnar(nil, blk.recs, blk.idx)
+					opened, err := data.OpenBatch(blk.plain, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					blocks = append(blocks, blk)
+					byReducer[r] = append(byReducer[r], opened)
+					blockRecords += opened.Len()
+					plainBytes += len(blk.plain)
 				}
-				store.PurgeBefore(bt)
 			}
-			for bt := int64(0); bt < 6; bt++ { // fill the window maps and the scratch
-				batch(bt)
+			kernel := func(name string, per, bytes int, op func()) {
+				b.Run(name, func(b *testing.B) {
+					op() // size the scratch
+					b.SetBytes(int64(bytes))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						op()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(per)), "ns/record")
+				})
 			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				batch(6 + int64(i))
+			if shape.combine {
+				var out []data.Record
+				kernel("combine", int(records), 0, func() {
+					for _, recs := range inputs {
+						index.Build(recs, part)
+						for r := 0; r < reduceParts; r++ {
+							table.Fold(recs, index.Part(r), dag.Sum, bucket)
+							out = table.Drain(out[:0])
+						}
+					}
+				})
 			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			records := float64(b.N) * mapParts * float64(shape.perTask)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
+			var enc, comp []byte
+			kernel("encode", blockRecords, 0, func() {
+				for _, blk := range blocks {
+					enc = data.AppendColumnar(enc[:0], blk.recs, blk.idx)
+				}
+			})
+			kernel("compress", blockRecords, plainBytes, func() {
+				for _, blk := range blocks {
+					comp, _ = data.AppendCompressed(comp[:0], blk.plain)
+				}
+			})
+			kernel("validate", blockRecords, 0, func() {
+				for _, blk := range blocks {
+					if _, err := data.OpenBatch(blk.plain, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			var sink uint64
+			kernel("iterate", blockRecords, 0, func() {
+				for _, batches := range byReducer {
+					for i := range batches {
+						for it := batches[i].Iter(); it.Next(); {
+							sink += it.Key ^ uint64(it.Time)
+						}
+					}
+				}
+			})
+			states := engine.NewStateStore()
+			never := func(core.BatchID) int64 { return 0 } // no window ever closes
+			bt := core.BatchID(0)
+			kernel("fold", blockRecords, 0, func() {
+				for r, batches := range byReducer {
+					key := checkpoint.StateKey{Job: "bench", Stage: 1, Partition: r}
+					states.ApplyBlocks(key, bt, batches, dag.Sum, win, never, &table)
+				}
+				bt++
+			})
 		})
 	}
 }

@@ -197,10 +197,8 @@ func waitCount(b *testing.B, c *atomic.Int64, want int64) {
 
 // fetchBench wires two block holders and a fetcher over one TCP network,
 // returning the fetcher, the per-holder request map, and the total stored
-// bytes per full fetch. The two variants are the full data planes, not just
-// the envelope codec: the gob variant stores row-encoded blocks (the
-// layout the gob-era store wrote), the binary variant stores columnar
-// varint blocks — each codec moves the block bytes its store produces.
+// bytes per full fetch. Both variants store blocks as Store.Put writes them,
+// so the codec — the envelope around the block bytes — is the difference.
 func fetchBench(b *testing.B, codec rpc.Codec) (*shuffle.Fetcher, map[rpc.NodeID][]shuffle.BlockID, int64, func()) {
 	b.Helper()
 	const (
@@ -233,13 +231,7 @@ func fetchBench(b *testing.B, codec rpc.Codec) (*shuffle.Fetcher, map[rpc.NodeID
 			for i := range recs {
 				recs[i] = data.Record{Key: uint64(i), Val: int64(i), Time: int64(i)}
 			}
-			if codec == rpc.Gob {
-				enc := data.EncodeBatch(nil, recs) // row layout, as the gob-era store wrote
-				store.PutRaw(id, enc)
-				totalBytes += int64(len(enc))
-			} else {
-				totalBytes += int64(store.Put(id, recs))
-			}
+			totalBytes += int64(store.Put(id, recs))
 			req[holder] = append(req[holder], id)
 		}
 	}

@@ -157,9 +157,10 @@ func TestEncodeDecodeBatch(t *testing.T) {
 		{Key: 2, Val: 1 << 40, Time: -1},
 		{},
 	}
-	b := EncodeBatch(nil, recs)
-	if len(b) != EncodedSize(recs) {
-		t.Fatalf("EncodedSize = %d, actual %d", EncodedSize(recs), len(b))
+	buf := make([]byte, 0, EncodedSize(recs))
+	b := EncodeBatchColumnar(buf, recs)
+	if len(b) > EncodedSize(recs) || &b[0] != &buf[:1][0] {
+		t.Fatalf("EncodedSize = %d, but the encoding took %d bytes (reallocated: %v)", EncodedSize(recs), len(b), &b[0] != &buf[:1][0])
 	}
 	got, n, err := DecodeBatch(b)
 	if err != nil {
@@ -182,8 +183,8 @@ func TestEncodeDecodeBatch(t *testing.T) {
 }
 
 func TestDecodeBatchRejectsCorrupt(t *testing.T) {
-	recs := []Record{{Key: 9, Val: 9, Payload: []byte("abcdef")}}
-	b := EncodeBatch(nil, recs)
+	recs := []Record{{Key: 9, Val: 9, Payload: []byte("abcdef")}, {Key: 1, Val: 3, Time: 1 << 40}}
+	b := EncodeBatchColumnar(nil, recs)
 	for cut := 0; cut < len(b); cut++ {
 		if _, _, err := DecodeBatch(b[:cut]); err == nil {
 			t.Fatalf("DecodeBatch accepted truncation at %d bytes", cut)
@@ -206,8 +207,11 @@ func TestEncodeDecodeQuick(t *testing.T) {
 				recs[i].Payload = payload
 			}
 		}
-		b := EncodeBatch(nil, recs)
+		b := EncodeBatchColumnar(make([]byte, 0, EncodedSize(recs)), recs)
 		got, consumed, err := DecodeBatch(b)
+		if len(b) > EncodedSize(recs) {
+			return false
+		}
 		if err != nil || consumed != len(b) || len(got) != n {
 			return false
 		}
@@ -237,19 +241,5 @@ func TestPartitionerStableQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSortByKey(t *testing.T) {
-	recs := []Record{{Key: 3}, {Key: 1, Time: 2}, {Key: 1, Time: 1}, {Key: 2}}
-	SortByKey(recs)
-	want := []uint64{1, 1, 2, 3}
-	for i, r := range recs {
-		if r.Key != want[i] {
-			t.Fatalf("position %d: key %d, want %d", i, r.Key, want[i])
-		}
-	}
-	if recs[0].Time != 1 {
-		t.Fatal("ties not broken by Time")
 	}
 }

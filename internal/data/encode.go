@@ -4,91 +4,79 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"drizzle/internal/snappy"
 )
 
-// Two record-batch layouts coexist, distinguished by the first four bytes:
+// A record batch has one layout, block format v2, packed column-at-a-time:
 //
-// Row layout (legacy, fixed-width):
-//
-//	uint32 count
-//	repeated count times:
-//	    uint64 key | int64 val | int64 time | uint32 payloadLen | payload
-//
-// Columnar layout (the shuffle default since the binary data plane): the
-// first four bytes are the sentinel 0xFFFFFFFF — a count the row decoder
-// rejects as implausible, so the two layouts can never be confused — then a
-// format byte (1 = columnar) and the batch packed column-at-a-time:
-//
+//	uint32 0xFFFFFFFF                  sentinel
+//	byte   3                           format v2
 //	uvarint count
-//	count x zigzag-varint key delta      (delta from the previous key)
-//	count x zigzag-varint val
-//	count x zigzag-varint time delta     (delta from the previous time)
-//	count x uvarint payload length
-//	payloads, concatenated
+//	byte   flags                       bit 0: one val for all; bit 1: payloads
+//	count x uint64 key                 raw, fixed width
+//	count x zigzag-varint time delta   (delta from the previous time)
+//	val column: one zigzag varint (bit 0) or count x zigzag varint
+//	if bit 1: count x uvarint payload length, then the payloads concatenated
 //
-// Delta-varint keys and times shrink sorted combiner output to a byte or
-// two per field, and aggregation records (val 1, no payload) pack to a few
-// bytes instead of the row layout's fixed 28. All fixed-width integers are
-// little-endian. Both layouts appear on the shuffle wire and in checkpoint
-// state, so they must stay stable and be validated on decode.
+// Keys are 64-bit hashes: raw, they take eight bytes where a delta varint
+// took ten, and a repeated key stays visible to the compressor. Aggregation
+// inputs carry val 1 and no payload, so those columns shrink to one byte
+// and nothing. DESIGN.md § "Shuffle block format" has the reasoning.
 //
-// A third envelope, format 2, is a snappy-compressed batch: the sentinel,
-// format byte 2, then the snappy block encoding of a complete format-0 or
-// format-1 batch (nesting another format 2 is rejected). CompressBatch
-// produces it at store time, so compression — like encoding — happens once
-// when a block is written, never on the serving path.
+// Format 2 is the compressed envelope: the sentinel, format byte 2, then the
+// snappy block encoding of a complete v2 batch (nesting another format 2 is
+// rejected). CompressBatch produces it at store time, so compression — like
+// encoding — happens once when a block is written, never on the serving
+// path.
+//
+// Earlier layouts (a fixed-width row layout without the sentinel, and format
+// 1, which delta-encoded keys) are not read: their blocks fail with "unknown
+// batch format". Blocks live no longer than the run that wrote them, and
+// checkpoints have their own encoding, so nothing needs to read them.
 
 var errCorrupt = errors.New("data: corrupt record batch")
 
 const (
-	recordHeaderSize = 8 + 8 + 8 + 4
-
-	// formatSentinel marks a versioned (non-row) batch; the next byte names
-	// the format.
+	// formatSentinel starts every batch; the next byte names the format.
 	formatSentinel   = 0xFFFFFFFF
-	formatColumnar   = 1
 	formatCompressed = 2
+	formatV2         = 3
 
-	// columnarMinPerRecord is the minimum encoded size of one record in the
-	// columnar layout (one byte per column stream), used to reject
-	// implausible counts before allocating.
-	columnarMinPerRecord = 4
+	// Flag bits of a v2 batch.
+	flagConstVal = 1 << 0
+	flagPayloads = 1 << 1
 )
 
-// EncodedSize returns the exact number of bytes EncodeBatch will produce.
+// EncodedSize returns an upper bound on the bytes EncodeBatchColumnar
+// appends for recs: a dst with that much spare capacity is never
+// reallocated.
 func EncodedSize(recs []Record) int {
-	n := 4
+	n := len(recs)
+	size := 16 + n*(8+binary.MaxVarintLen64) + binary.MaxVarintLen64
+	payload, varying := 0, false
 	for i := range recs {
-		n += recordHeaderSize + len(recs[i].Payload)
+		payload += len(recs[i].Payload)
+		varying = varying || recs[i].Val != recs[0].Val
 	}
-	return n
+	if varying {
+		size += n * binary.MaxVarintLen64
+	}
+	if payload > 0 {
+		size += n*binary.MaxVarintLen64 + payload
+	}
+	return size
 }
 
-// EncodeBatch appends the binary encoding of recs to dst and returns the
+// EncodeBatchColumnar appends the encoding of recs to dst and returns the
 // extended slice.
-func EncodeBatch(dst []byte, recs []Record) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(recs)))
-	for i := range recs {
-		r := &recs[i]
-		dst = binary.LittleEndian.AppendUint64(dst, r.Key)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Val))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Time))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Payload)))
-		dst = append(dst, r.Payload...)
-	}
-	return dst
-}
-
-// EncodeBatchColumnar appends the columnar encoding of recs to dst and
-// returns the extended slice. DecodeBatch understands both layouts.
 func EncodeBatchColumnar(dst []byte, recs []Record) []byte {
 	return AppendColumnar(dst, recs, nil)
 }
 
-// AppendColumnar appends the columnar encoding of the records recs[idx[0]],
+// AppendColumnar appends the encoding of the records recs[idx[0]],
 // recs[idx[1]], ... to dst and returns the extended slice; a nil idx selects
 // every record in order. It is how the map side encodes one reducer's block
 // straight from the task's output slice (idx being that reducer's share of a
@@ -106,42 +94,48 @@ func AppendColumnar(dst []byte, recs []Record, idx []uint32) []byte {
 		return &recs[j]
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, formatSentinel)
-	dst = append(dst, formatColumnar)
+	dst = append(dst, formatV2)
 	dst = binary.AppendUvarint(dst, uint64(n))
-	// Each column reserves its worst case once and is then written by
-	// index, which keeps the per-value cost to the varint itself.
-	dst = slices.Grow(dst, n*binary.MaxVarintLen64)
-	var prevKey uint64
-	for j := 0; j < n; j++ {
-		// Wrapping subtraction: encode and decode apply the same two's-
-		// complement arithmetic, so arbitrary key orders round-trip.
-		k := at(j).Key
-		dst = appendVarint(dst, int64(k-prevKey))
-		prevKey = k
+	flags := len(dst)
+	dst = append(dst, 0)
+	// One pass over the records writes the key column by index and the time
+	// column behind it, and finds out whether the val column collapses and
+	// whether there are payloads. The worst case is reserved once, which
+	// keeps the per-value cost to the store or the varint itself.
+	keys := len(dst)
+	dst = slices.Grow(dst, n*(8+binary.MaxVarintLen64))[:keys+8*n]
+	var val0, prevTime int64
+	if n > 0 {
+		val0 = at(0).Val
 	}
-	dst = slices.Grow(dst, n*binary.MaxVarintLen64)
+	constVal, payload := true, 0
 	for j := 0; j < n; j++ {
-		dst = appendVarint(dst, at(j).Val)
+		r := at(j)
+		binary.LittleEndian.PutUint64(dst[keys+8*j:], r.Key)
+		dst = appendVarint(dst, r.Time-prevTime)
+		prevTime = r.Time
+		constVal = constVal && r.Val == val0
+		payload += len(r.Payload)
 	}
-	dst = slices.Grow(dst, n*binary.MaxVarintLen64)
-	var prevTime int64
-	for j := 0; j < n; j++ {
-		t := at(j).Time
-		dst = appendVarint(dst, t-prevTime)
-		prevTime = t
-	}
-	dst = slices.Grow(dst, n*binary.MaxVarintLen64)
-	payload := 0
-	for j := 0; j < n; j++ {
-		l := len(at(j).Payload)
-		payload += l
-		dst = appendUvarint(dst, uint64(l))
-	}
-	if payload > 0 {
-		dst = slices.Grow(dst, payload)
+	if n > 0 && constVal {
+		dst[flags] |= flagConstVal
+		dst = binary.AppendVarint(dst, val0)
+	} else {
+		dst = slices.Grow(dst, n*binary.MaxVarintLen64)
 		for j := 0; j < n; j++ {
-			dst = append(dst, at(j).Payload...)
+			dst = appendVarint(dst, at(j).Val)
 		}
+	}
+	if payload == 0 {
+		return dst
+	}
+	dst[flags] |= flagPayloads
+	dst = slices.Grow(dst, n*binary.MaxVarintLen64+payload)
+	for j := 0; j < n; j++ {
+		dst = appendUvarint(dst, uint64(len(at(j).Payload)))
+	}
+	for j := 0; j < n; j++ {
+		dst = append(dst, at(j).Payload...)
 	}
 	return dst
 }
@@ -165,10 +159,9 @@ func appendVarint(dst []byte, v int64) []byte {
 	return appendUvarint(dst, uint64(v<<1)^uint64(v>>63))
 }
 
-// CompressBatch wraps an encoded batch (either layout) in the compressed
-// batch format when it is at least threshold bytes and compression actually
-// shrinks it; otherwise b is returned unchanged. A threshold <= 0 disables
-// compression.
+// CompressBatch wraps an encoded batch in the compressed batch format when it
+// is at least threshold bytes and compression actually shrinks it; otherwise
+// b is returned unchanged. A threshold <= 0 disables compression.
 func CompressBatch(b []byte, threshold int) []byte {
 	if threshold <= 0 || len(b) < threshold {
 		return b
@@ -199,45 +192,44 @@ func AppendCompressed(dst, b []byte) ([]byte, bool) {
 // OpenBatch was given (or, for a compressed batch, the inflate buffer), so it
 // is valid only as long as those bytes are left alone.
 type Batch struct {
-	b    []byte // the plain (row or columnar) encoding
-	n    int    // record count
-	size int    // bytes of the caller's input this batch occupies
-	row  bool
-	// Column starts within b. The row layout uses key alone, as the start
-	// of its first record.
-	key, val, time, plen, payload int
+	b        []byte // the plain v2 encoding
+	n        int    // record count
+	size     int    // bytes of the caller's input this batch occupies
+	constVal bool
+	// Column starts within b; plen and payload only when payloadBytes > 0.
+	key, time, val, plen, payload int
 	payloadBytes                  int
 }
 
 // Len reports the number of records in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// OpenBatch validates an encoded batch in any layout without decoding it:
-// the row layout by walking its record headers, the columnar layout by a
-// skip-scan that finds the end of every column. Whatever OpenBatch accepts,
-// Iter and AppendTo read without error; whatever it rejects, DecodeBatch
-// rejects too (DecodeBatch is OpenBatch plus AppendTo).
+// Size reports how many bytes of OpenBatch's input the batch occupies;
+// anything after them is not part of it.
+func (b *Batch) Size() int { return b.size }
+
+// OpenBatch validates an encoded batch without decoding it: one bounds check
+// for the key column and a skip-scan that finds the end of every varint
+// column. Whatever OpenBatch accepts, Iter and AppendTo read without error;
+// whatever it rejects, DecodeBatch rejects too (DecodeBatch is OpenBatch
+// plus AppendTo).
 //
 // A compressed batch is decompressed by appending to *inflate, which lets a
 // caller reuse one buffer for every block of a task; the returned Batch then
 // aliases that buffer rather than b. A nil inflate allocates.
 func OpenBatch(b []byte, inflate *[]byte) (Batch, error) {
-	if len(b) < 4 {
+	if len(b) < 5 {
 		return Batch{}, fmt.Errorf("%w: short header (%d bytes)", errCorrupt, len(b))
 	}
 	if binary.LittleEndian.Uint32(b) != formatSentinel {
-		return openRow(b)
-	}
-	if len(b) < 5 {
-		return Batch{}, fmt.Errorf("%w: missing format byte", errCorrupt)
+		return Batch{}, fmt.Errorf("%w: unknown batch format (no sentinel)", errCorrupt)
 	}
 	switch b[4] {
-	case formatColumnar:
-		return openColumnar(b)
+	case formatV2:
+		return openV2(b)
 	case formatCompressed:
-		var fresh []byte
 		if inflate == nil {
-			inflate = &fresh
+			inflate = new([]byte)
 		}
 		base := len(*inflate)
 		grown, err := snappy.AppendDecoded(*inflate, b[5:])
@@ -265,70 +257,77 @@ func OpenBatch(b []byte, inflate *[]byte) (Batch, error) {
 	}
 }
 
-func openRow(b []byte) (Batch, error) {
-	count := int(binary.LittleEndian.Uint32(b))
-	off := 4
-	// Guard against absurd counts before anything is sized from them.
-	if count < 0 || count > len(b)/recordHeaderSize+1 {
-		return Batch{}, fmt.Errorf("%w: implausible record count %d for %d bytes", errCorrupt, count, len(b))
-	}
-	payloadBytes := 0
-	for i := 0; i < count; i++ {
-		if len(b)-off < recordHeaderSize {
-			return Batch{}, fmt.Errorf("%w: truncated record %d", errCorrupt, i)
-		}
-		plen := int(binary.LittleEndian.Uint32(b[off+24:]))
-		off += recordHeaderSize
-		if plen < 0 || len(b)-off < plen {
-			return Batch{}, fmt.Errorf("%w: truncated payload of record %d (%d bytes)", errCorrupt, i, plen)
-		}
-		off += plen
-		payloadBytes += plen
-	}
-	return Batch{b: b, n: count, size: off, row: true, key: 4, payloadBytes: payloadBytes}, nil
-}
-
 // skipVarints steps over count varints starting at off, applying
 // binary.Uvarint's acceptance rule (at most ten bytes, the tenth at most 1).
 // It returns the offset after the last one and the number it got through.
+//
+// While eight or more are left it reads a word at a time: every byte below
+// 0x80 ends a varint, so the clear top bits count the varints ending in the
+// word, and since each word starts at a varint boundary, those are at most
+// eight bytes long and need no further check. Longer varints and the last
+// few go byte by byte.
 func skipVarints(b []byte, off, count int) (int, int) {
-	for i := 0; i < count; i++ {
-		end := off + binary.MaxVarintLen64
-		if end > len(b) {
-			end = len(b)
+	done := 0
+	for done < count {
+		if off+8 <= len(b) && count-done >= 8 {
+			if ends := ^binary.LittleEndian.Uint64(b[off:]) & 0x8080808080808080; ends != 0 {
+				off += (63-bits.LeadingZeros64(ends))>>3 + 1
+				done += bits.OnesCount64(ends)
+				continue
+			}
 		}
+		end := min(off+binary.MaxVarintLen64, len(b))
 		j := off
 		for j < end && b[j] >= 0x80 {
 			j++
 		}
 		if j == end || (j-off == binary.MaxVarintLen64-1 && b[j] > 1) {
-			return off, i
+			return off, done
 		}
 		off = j + 1
+		done++
 	}
 	return off, count
 }
 
-// openColumnar validates the columnar layout; b starts at the sentinel.
-func openColumnar(b []byte) (Batch, error) {
+// openV2 validates the v2 layout; b starts at the sentinel.
+func openV2(b []byte) (Batch, error) {
 	c, n := binary.Uvarint(b[5:])
 	off := 5 + n
-	if n <= 0 || c > uint64((len(b)-off)/columnarMinPerRecord) {
-		return Batch{}, fmt.Errorf("%w: implausible columnar count %d for %d bytes", errCorrupt, c, len(b)-off)
+	if n <= 0 || off >= len(b) {
+		return Batch{}, fmt.Errorf("%w: truncated header", errCorrupt)
 	}
-	out := Batch{b: b, n: int(c), key: off}
-	var ends [3]int // of the key, val and time columns
-	for i, name := range [...]string{"key", "val", "time"} {
-		var done int
-		if off, done = skipVarints(b, off, out.n); done < out.n {
-			return Batch{}, fmt.Errorf("%w: truncated %s column at record %d", errCorrupt, name, done)
-		}
-		ends[i] = off
+	flags := b[off]
+	off++
+	if flags&^(flagConstVal|flagPayloads) != 0 {
+		return Batch{}, fmt.Errorf("%w: unknown flags %#x", errCorrupt, flags)
 	}
-	out.val, out.time, out.plen = ends[0], ends[1], ends[2]
+	if c > uint64(len(b)-off)/8 {
+		return Batch{}, fmt.Errorf("%w: %d keys do not fit in %d bytes", errCorrupt, c, len(b)-off)
+	}
+	out := Batch{b: b, n: int(c), constVal: flags&flagConstVal != 0, key: off}
+	off += 8 * out.n
+	out.time = off
+	var done int
+	if off, done = skipVarints(b, off, out.n); done < out.n {
+		return Batch{}, fmt.Errorf("%w: truncated time column at record %d", errCorrupt, done)
+	}
+	out.val = off
+	vals := out.n
+	if out.constVal {
+		vals = 1
+	}
+	if off, done = skipVarints(b, off, vals); done < vals {
+		return Batch{}, fmt.Errorf("%w: truncated val column at value %d", errCorrupt, done)
+	}
+	if flags&flagPayloads == 0 {
+		out.size = off
+		return out, nil
+	}
+	out.plen = off
 	var total uint64
 	for i := 0; i < out.n; i++ {
-		l, n := readUvarint(b, off)
+		l, n := binary.Uvarint(b[off:])
 		if n <= 0 {
 			return Batch{}, fmt.Errorf("%w: truncated length column at record %d", errCorrupt, i)
 		}
@@ -347,19 +346,22 @@ func openColumnar(b []byte) (Batch, error) {
 	return out, nil
 }
 
-// readUvarint is binary.Uvarint(b[off:]) with the one-byte case, which is
-// most values of most columns, kept short enough to inline.
-func readUvarint(b []byte, off int) (uint64, int) {
-	if off < len(b) && b[off] < 0x80 {
-		return uint64(b[off]), 1
+// trustedUvarint decodes a varint that OpenBatch has validated and returns
+// it with the offset after it. It checks nothing but the slice bounds, so
+// bytes overwritten since validation — a bug — panic.
+func trustedUvarint(b []byte, off int) (uint64, int) {
+	var v uint64
+	for s := uint(0); ; s += 7 {
+		c := b[off]
+		off++
+		if c < 0x80 {
+			return v | uint64(c)<<s, off
+		}
+		v |= uint64(c&0x7f) << s
 	}
-	return binary.Uvarint(b[off:])
 }
 
-func readVarint(b []byte, off int) (int64, int) {
-	u, n := readUvarint(b, off)
-	return int64(u>>1) ^ -int64(u&1), n
-}
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // BatchIter walks the numeric fields of a Batch record by record; payloads
 // are skipped. After Next returns true, Key, Val and Time hold the record.
@@ -367,43 +369,38 @@ type BatchIter struct {
 	Key       uint64
 	Val, Time int64
 
-	b       []byte
-	left    int
-	row     bool
-	k, v, t int // cursors: the three columns, or k alone for rows
+	b        []byte
+	left     int
+	k, t, v  int // column cursors
+	constVal bool
 }
 
 // Iter returns an iterator positioned before the first record.
 func (b *Batch) Iter() BatchIter {
-	return BatchIter{b: b.b, left: b.n, row: b.row, k: b.key, v: b.val, t: b.time}
+	it := BatchIter{b: b.b, left: b.n, k: b.key, t: b.time, v: b.val, constVal: b.constVal}
+	if b.constVal {
+		u, _ := trustedUvarint(b.b, b.val)
+		it.Val = unzigzag(u)
+	}
+	return it
 }
 
 // Next advances to the next record and reports whether there was one. The
-// batch was validated when it was opened, so decoding cannot fail short of
-// the bytes having been overwritten since — a bug, which panics.
+// batch was validated when it was opened, so decoding cannot fail.
 func (it *BatchIter) Next() bool {
 	if it.left == 0 {
 		return false
 	}
 	it.left--
-	if it.row {
-		r := it.b[it.k : it.k+recordHeaderSize]
-		it.Key = binary.LittleEndian.Uint64(r)
-		it.Val = int64(binary.LittleEndian.Uint64(r[8:]))
-		it.Time = int64(binary.LittleEndian.Uint64(r[16:]))
-		it.k += recordHeaderSize + int(binary.LittleEndian.Uint32(r[24:]))
-		return true
+	it.Key = binary.LittleEndian.Uint64(it.b[it.k:])
+	it.k += 8
+	var u uint64
+	u, it.t = trustedUvarint(it.b, it.t)
+	it.Time += unzigzag(u)
+	if !it.constVal {
+		u, it.v = trustedUvarint(it.b, it.v)
+		it.Val = unzigzag(u)
 	}
-	dk, nk := readVarint(it.b, it.k)
-	val, nv := readVarint(it.b, it.v)
-	dt, nt := readVarint(it.b, it.t)
-	if nk <= 0 || nv <= 0 || nt <= 0 {
-		panic("data: batch bytes changed after OpenBatch validated them")
-	}
-	it.k, it.v, it.t = it.k+nk, it.v+nv, it.t+nt
-	it.Key += uint64(dk)
-	it.Val = val
-	it.Time += dt
 	return true
 }
 
@@ -423,36 +420,23 @@ func (b *Batch) AppendTo(dst []Record) []Record {
 		return dst
 	}
 	arena := make([]byte, 0, b.payloadBytes)
-	keep := func(i int, p []byte) {
-		if len(p) > 0 {
-			start := len(arena)
-			arena = append(arena, p...)
-			dst[base+i].Payload = arena[start:len(arena):len(arena)]
-		}
-	}
-	if b.row {
-		off := b.key
-		for i := 0; i < b.n; i++ {
-			l := int(binary.LittleEndian.Uint32(b.b[off+24:]))
-			off += recordHeaderSize
-			keep(i, b.b[off:off+l])
-			off += l
-		}
-		return dst
-	}
 	lens, off := b.plen, b.payload
 	for i := 0; i < b.n; i++ {
-		l, n := readUvarint(b.b, lens)
-		lens += n
-		keep(i, b.b[off:off+int(l)])
+		var l uint64
+		l, lens = trustedUvarint(b.b, lens)
+		if l > 0 {
+			start := len(arena)
+			arena = append(arena, b.b[off:off+int(l)]...)
+			dst[base+i].Payload = arena[start:len(arena):len(arena)]
+		}
 		off += int(l)
 	}
 	return dst
 }
 
-// DecodeBatch decodes a record batch produced by EncodeBatch or
-// EncodeBatchColumnar, compressed or not. It returns the records and the
-// number of bytes consumed.
+// DecodeBatch decodes a record batch produced by EncodeBatchColumnar,
+// compressed or not. It returns the records and the number of bytes
+// consumed.
 func DecodeBatch(b []byte) ([]Record, int, error) {
 	batch, err := OpenBatch(b, nil)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"drizzle/internal/snappy"
@@ -33,6 +34,9 @@ func TestColumnarRoundTrip(t *testing.T) {
 		"single":           {{Key: 1, Val: 2, Time: 3, Payload: []byte("p")}},
 		"random":           randRecords(r, 500),
 		"sorted aggregate": nil, // filled below
+		"one val, empty payloads": {
+			{Key: 5, Val: 7, Payload: []byte{}}, {Key: 5, Val: 7, Time: -9},
+		},
 	}
 	sorted := make([]Record, 300)
 	for i := range sorted {
@@ -65,35 +69,44 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
+// TestColumnarMatchesRowDecode: v2 carries exactly the records the layouts
+// before it did, as their own decoder read them.
 func TestColumnarMatchesRowDecode(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	recs := randRecords(r, 200)
-	row, _, err := DecodeBatch(EncodeBatch(nil, recs))
-	if err != nil {
-		t.Fatal(err)
-	}
 	col, _, err := DecodeBatch(EncodeBatchColumnar(nil, recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(row, col) {
-		t.Fatal("row and columnar decodes of the same records diverge")
+	for name, old := range map[string][]byte{"row": legacyEncodeRow(recs), "v1": legacyEncodeV1(recs)} {
+		was, _, err := legacyDecodeBatch(old)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(was, col) {
+			t.Fatalf("%s and v2 decodes of the same records diverge", name)
+		}
 	}
 }
 
+// TestColumnarSmallerOnAggregates pins what v2 makes of the aggregation
+// shape (val 1, no payload, near-constant times): eight bytes of key, one of
+// time delta, and nothing else per record — the val column is one byte for
+// the batch and the payload columns are left out.
 func TestColumnarSmallerOnAggregates(t *testing.T) {
-	// The motivating shape: sorted keys, val 1, near-constant times, no
-	// payload — combiner output. Row layout spends 28 bytes per record.
-	recs := make([]Record, 1000)
+	const n = 1000
+	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{Key: uint64(i * 3), Val: 1, Time: 1_700_000_000_000_000_000}
 	}
-	row := len(EncodeBatch(nil, recs))
+	row := len(legacyEncodeRow(recs))
 	col := len(EncodeBatchColumnar(nil, recs))
-	if col*4 > row {
-		t.Errorf("columnar %d bytes vs row %d; expected >= 4x shrink on aggregates", col, row)
+	header := 4 + 1 + len(binary.AppendUvarint(nil, n)) + 1
+	firstTime := len(binary.AppendVarint(nil, recs[0].Time))
+	if want := header + 8*n + firstTime + (n - 1) + 1; col != want {
+		t.Errorf("aggregate batch is %d bytes, want %d", col, want)
 	}
-	t.Logf("aggregate batch: row %d bytes, columnar %d bytes (%.1fx)", row, col, float64(row)/float64(col))
+	t.Logf("aggregate batch: row %d bytes, v2 %d bytes (%.1fx)", row, col, float64(row)/float64(col))
 }
 
 func TestCompressBatchRoundTrip(t *testing.T) {
@@ -138,17 +151,90 @@ func TestCompressBatchRoundTrip(t *testing.T) {
 
 func TestDecodeBatchRejectsCorruptColumnar(t *testing.T) {
 	good := EncodeBatchColumnar(nil, randRecords(rand.New(rand.NewSource(5)), 50))
+	v2 := func(tail ...byte) []byte { return append([]byte{0xFF, 0xFF, 0xFF, 0xFF, formatV2}, tail...) }
 	cases := map[string][]byte{
-		"sentinel only":      good[:4],
-		"unknown format":     {0xFF, 0xFF, 0xFF, 0xFF, 99},
-		"truncated count":    good[:5],
-		"truncated columns":  good[:len(good)/2],
-		"implausible count":  {0xFF, 0xFF, 0xFF, 0xFF, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
-		"huge payload claim": append(append([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1}, 1, 0, 0), 0xFF, 0xFF, 0xFF, 0xFF, 0x7F),
+		"sentinel only":     good[:4],
+		"unknown format":    {0xFF, 0xFF, 0xFF, 0xFF, 99},
+		"truncated count":   good[:5],
+		"missing flags":     v2(0),
+		"unknown flags":     v2(0, 4),
+		"truncated columns": good[:len(good)/2],
+		"implausible count": v2(0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0),
+		"keys do not fit":   v2(2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14),
+		"missing val":       v2(1, flagConstVal, 1, 2, 3, 4, 5, 6, 7, 8, 0),
+		"huge payload claim": v2(1, flagConstVal|flagPayloads, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0,
+			0xFF, 0xFF, 0xFF, 0xFF, 0x7F),
+		"eleven-byte varint": v2(1, 0, 1, 2, 3, 4, 5, 6, 7, 8,
+			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0),
 	}
 	for name, in := range cases {
 		if _, _, err := DecodeBatch(in); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// TestSkipVarintsMatchesUvarint holds the word-at-a-time skip-scan to
+// binary.Uvarint applied one value at a time: over streams of every varint
+// length (including the ten-byte ones and the eleven-byte and overflowing
+// ones Uvarint rejects), from every start offset and for every count, the
+// same end offset and the same number of values got through.
+func TestSkipVarintsMatchesUvarint(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 300; trial++ {
+		var b []byte
+		for v := 0; v < 1+r.Intn(12); v++ {
+			switch r.Intn(8) {
+			case 0: // a long run of continuation bytes, maybe ended
+				for k := 8 + r.Intn(5); k > 0; k-- {
+					b = append(b, 0x80|byte(r.Intn(128)))
+				}
+				if r.Intn(2) == 0 {
+					b = append(b, byte(r.Intn(4)))
+				}
+			default:
+				b = binary.AppendUvarint(b, r.Uint64()>>uint(r.Intn(64)))
+			}
+		}
+		for off := 0; off <= len(b); off++ {
+			for count := 0; count <= 13; count++ {
+				wantOff, wantDone := off, 0
+				for wantDone < count {
+					_, n := binary.Uvarint(b[wantOff:])
+					if n <= 0 {
+						break
+					}
+					wantOff += n
+					wantDone++
+				}
+				gotOff, gotDone := skipVarints(b, off, count)
+				if gotDone != wantDone || gotOff != wantOff {
+					t.Fatalf("% x from %d, count %d: skipVarints = (%d, %d), Uvarint walk = (%d, %d)",
+						b, off, count, gotOff, gotDone, wantOff, wantDone)
+				}
+			}
+		}
+	}
+}
+
+// TestTrustedUvarintMatchesUvarint: the unchecked decode behind BatchIter
+// reads every valid varint — every length, with any bytes after it, at the
+// end of the input or not — as binary.Uvarint does.
+func TestTrustedUvarintMatchesUvarint(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20000; trial++ {
+		v := r.Uint64() >> uint(r.Intn(64))
+		b := make([]byte, r.Intn(3))
+		r.Read(b)
+		off := len(b)
+		b = binary.AppendUvarint(b, v)
+		tail := make([]byte, r.Intn(12))
+		r.Read(tail)
+		b = append(b, tail...)
+		want, n := binary.Uvarint(b[off:])
+		got, end := trustedUvarint(b, off)
+		if got != want || end != off+n {
+			t.Fatalf("% x at %d: trustedUvarint = (%d, %d), Uvarint = (%d, %d)", b, off, got, end, want, off+n)
 		}
 	}
 }
@@ -183,8 +269,8 @@ func checkAgainstReference(t *testing.T, b []byte) []Record {
 	if wantErr != nil {
 		return nil
 	}
-	if gotN != wantN || batch.size != wantN {
-		t.Fatalf("consumed %d (DecodeBatch) / %d (OpenBatch) bytes, reference %d", gotN, batch.size, wantN)
+	if gotN != wantN || batch.Size() != wantN {
+		t.Fatalf("consumed %d (DecodeBatch) / %d (OpenBatch) bytes, reference %d", gotN, batch.Size(), wantN)
 	}
 	if batch.Len() != len(want) {
 		t.Fatalf("Len() = %d, reference decoded %d records", batch.Len(), len(want))
@@ -219,27 +305,35 @@ func checkAgainstReference(t *testing.T, b []byte) []Record {
 	return got
 }
 
-// formatsOf returns recs in all three block formats: row, columnar, and the
-// snappy envelope around each (forced, so small batches get one too).
+// envelope wraps plain in the snappy envelope whatever its size.
+func envelope(plain []byte) []byte {
+	env := binary.LittleEndian.AppendUint32(nil, formatSentinel)
+	return snappy.AppendEncoded(append(env, formatCompressed), plain)
+}
+
+// formatsOf returns recs as a block is stored: plain v2, and inside the
+// snappy envelope (forced, so small batches get one too).
 func formatsOf(recs []Record) map[string][]byte {
-	row, col := EncodeBatch(nil, recs), EncodeBatchColumnar(nil, recs)
-	out := map[string][]byte{"row": row, "columnar": col}
-	for name, plain := range map[string][]byte{"snappy(row)": row, "snappy(columnar)": col} {
-		env := binary.LittleEndian.AppendUint32(nil, formatSentinel)
-		out[name] = snappy.AppendEncoded(append(env, formatCompressed), plain)
-	}
-	return out
+	col := EncodeBatchColumnar(nil, recs)
+	return map[string][]byte{"columnar": col, "snappy(columnar)": envelope(col)}
+}
+
+// staleFormatsOf returns recs in the layouts before v2, plain and inside the
+// envelope: blocks a reader must now reject.
+func staleFormatsOf(recs []Record) map[string][]byte {
+	row, v1 := legacyEncodeRow(recs), legacyEncodeV1(recs)
+	return map[string][]byte{"row": row, "snappy(row)": envelope(row), "v1": v1, "snappy(v1)": envelope(v1)}
 }
 
 // TestStreamingReaderMatchesReference is the differential test behind the
-// refactor: whatever the old validate-while-materialising decoder made of a
-// byte string — well-formed batches in every format, and the same batches
-// truncated and bit-flipped — the in-place reader makes of it too.
+// reader: whatever the independent reference decoder makes of a byte string
+// — well-formed batches, the stale layouts, and the same truncated, extended
+// and bit-flipped — the in-place reader makes of it too.
 func TestStreamingReaderMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	shapes := map[string][]Record{
 		"empty":   nil,
-		"random":  randRecords(r, 300), // payloads, negative key and time deltas
+		"random":  randRecords(r, 300), // payloads, negative time deltas, ten-byte varints
 		"sorted":  make([]Record, 500),
 		"extreme": {{Key: ^uint64(0), Val: -1 << 63, Time: -1 << 63}, {Key: 0, Val: 1<<63 - 1, Time: 1<<63 - 1}, {}},
 	}
@@ -247,9 +341,18 @@ func TestStreamingReaderMatchesReference(t *testing.T) {
 		shapes["sorted"][i] = Record{Key: uint64(i * 7), Val: 1, Time: 1_700_000_000_000_000_000 + int64(i)*1000}
 	}
 	for shape, recs := range shapes {
-		for format, enc := range formatsOf(recs) {
+		current, stale := formatsOf(recs), staleFormatsOf(recs)
+		for format, enc := range stale {
+			current[format] = enc
+		}
+		for format, enc := range current {
 			t.Run(shape+"/"+format, func(t *testing.T) {
-				if got := checkAgainstReference(t, enc); len(got) != len(recs) {
+				got := checkAgainstReference(t, enc)
+				if _, isStale := stale[format]; isStale {
+					if got != nil {
+						t.Fatalf("a %s block decoded to %d records", format, len(got))
+					}
+				} else if len(got) != len(recs) {
 					t.Fatalf("decoded %d records, encoded %d", len(got), len(recs))
 				}
 				for trial := 0; trial < 200; trial++ {
@@ -265,6 +368,24 @@ func TestStreamingReaderMatchesReference(t *testing.T) {
 					checkAgainstReference(t, bad)
 				}
 			})
+		}
+	}
+}
+
+// TestStaleFormatsRejected: a block in the row layout or in format 1 — which
+// the old decoder reads back to the records — is refused as an unknown
+// format, plain or compressed, instead of being misread.
+func TestStaleFormatsRejected(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(16)), 40)
+	for format, enc := range staleFormatsOf(recs) {
+		if was, _, err := legacyDecodeBatch(enc); err != nil || !reflect.DeepEqual(was, recs) {
+			t.Fatalf("%s: the old decoder does not read the block back (%v)", format, err)
+		}
+		if _, err := OpenBatch(enc, nil); err == nil || !strings.Contains(err.Error(), "unknown batch format") {
+			t.Errorf("%s: OpenBatch err = %v, want an unknown batch format", format, err)
+		}
+		if _, _, err := DecodeBatch(enc); err == nil {
+			t.Errorf("%s: DecodeBatch accepted a stale block", format)
 		}
 	}
 }
@@ -318,17 +439,19 @@ func TestAppendColumnarSelectsThroughIndex(t *testing.T) {
 func FuzzDecodeBatch(f *testing.F) {
 	r := rand.New(rand.NewSource(6))
 	recs := randRecords(r, 40)
-	f.Add(EncodeBatch(nil, recs))
+	f.Add(legacyEncodeRow(recs))
 	f.Add(EncodeBatchColumnar(nil, recs))
 	f.Add(EncodeBatchColumnar(nil, nil))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 3})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, formatV2, 3, flagConstVal | flagPayloads})
 	agg := make([]Record, 200)
 	for i := range agg {
 		agg[i] = Record{Key: uint64(i), Val: 1, Time: 1_700_000_000_000_000_000}
 	}
 	f.Add(CompressBatch(EncodeBatchColumnar(nil, agg), 1<<7))
-	for _, enc := range formatsOf(recs[:5]) {
-		f.Add(enc)
+	for _, formats := range []map[string][]byte{formatsOf(recs[:5]), staleFormatsOf(recs[:5])} {
+		for _, enc := range formats {
+			f.Add(enc)
+		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// The streaming reader and the reference decoder agree on every
@@ -337,8 +460,8 @@ func FuzzDecodeBatch(f *testing.F) {
 		if recs == nil {
 			return
 		}
-		// A successful decode re-encodes (columnar) to something that decodes
-		// back to the same records.
+		// A successful decode re-encodes to something that decodes back to
+		// the same records.
 		enc := EncodeBatchColumnar(nil, recs)
 		again, _, err := DecodeBatch(enc)
 		if err != nil {

@@ -12,7 +12,6 @@ package data
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -115,18 +114,4 @@ func (d *Dictionary) Len() int {
 	n := len(d.byHash)
 	d.mu.RUnlock()
 	return n
-}
-
-// SortByKey sorts records by Key, then Time, then Val. Used to canonicalize
-// outputs in tests.
-func SortByKey(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Key != recs[j].Key {
-			return recs[i].Key < recs[j].Key
-		}
-		if recs[i].Time != recs[j].Time {
-			return recs[i].Time < recs[j].Time
-		}
-		return recs[i].Val < recs[j].Val
-	})
 }

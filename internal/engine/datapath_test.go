@@ -90,17 +90,14 @@ func sortedRecords(recs []data.Record) []data.Record {
 	return out
 }
 
-// encodeAs encodes recs in one of the three block formats a reduce task can
-// meet: 0 row, 1 columnar, 2 the snappy envelope (forced, so small blocks get
-// one too) around either.
+// encodeAs encodes recs as a reduce task can meet them: plain (even format)
+// or inside the snappy envelope (odd format; forced, so small blocks get one
+// too).
 func encodeAs(format int, recs []data.Record) []byte {
-	switch format % 4 {
-	case 0:
-		return data.EncodeBatch(nil, recs)
-	case 1:
-		return data.EncodeBatchColumnar(nil, recs)
+	plain := data.EncodeBatchColumnar(nil, recs)
+	if format%2 == 0 {
+		return plain
 	}
-	plain := encodeAs(format%4-2, recs)
 	env := append(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF), 2)
 	return snappy.AppendEncoded(env, plain)
 }
@@ -125,7 +122,7 @@ func openAll(t testing.TB, raw [][]byte) []data.Batch {
 // emitted records and the duplicate verdict that decoding them and applying
 // the records does — and both match the per-record reference model. Batches
 // arrive out of order and repeated, span several windows, carry payloads and
-// unsorted keys and times (negative deltas), and every block format appears.
+// unsorted keys and times (negative deltas), plain and compressed.
 func TestApplyBlocksMatchesDecodeAndApplyBatch(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -139,6 +136,7 @@ func TestApplyBlocksMatchesDecodeAndApplyBatch(t *testing.T) {
 			order = append(order, rng.Intn(12))
 		}
 		streamed, decoded, model := NewStateStore(), NewStateStore(), newReferencePartition()
+		var agg shuffle.AggTable // one for every task, as in a slot
 		for _, b := range order {
 			batch := core.BatchID(b)
 			var raw [][]byte
@@ -161,7 +159,7 @@ func TestApplyBlocksMatchesDecodeAndApplyBatch(t *testing.T) {
 				all = append(all, recs...)
 			}
 
-			gotEmitted, gotDup := streamed.ApplyBlocks(testKey, batch, openAll(t, raw), reduce, win, closeNanos)
+			gotEmitted, gotDup := streamed.ApplyBlocks(testKey, batch, openAll(t, raw), reduce, win, closeNanos, &agg)
 			var recs []data.Record
 			for _, blk := range raw {
 				rs, _, err := data.DecodeBatch(blk)
@@ -224,6 +222,9 @@ func FuzzApplyBlocks(f *testing.F) {
 		}
 		recs, _, err := data.DecodeBatch(block)
 		if err != nil {
+			if _, err := data.OpenBatch(block, nil); err == nil {
+				t.Fatal("OpenBatch accepted a block DecodeBatch rejects")
+			}
 			return
 		}
 		win := dag.WindowSpec{Size: time.Duration(sizeMillis) * time.Millisecond}
@@ -232,7 +233,7 @@ func FuzzApplyBlocks(f *testing.F) {
 		closeNanos := func(b core.BatchID) int64 { return []int64{0, math.MaxInt64}[b] }
 		streamed, decoded := NewStateStore(), NewStateStore()
 		for batch := core.BatchID(0); batch < 2; batch++ {
-			got, _ := streamed.ApplyBlocks(testKey, batch, openAll(t, [][]byte{block, block}), dag.Sum, win, closeNanos)
+			got, _ := streamed.ApplyBlocks(testKey, batch, openAll(t, [][]byte{block, block}), dag.Sum, win, closeNanos, nil)
 			want, _ := decoded.ApplyBatch(testKey, batch, append(append([]data.Record{}, recs...), recs...), dag.Sum, win, closeNanos)
 			if !reflect.DeepEqual(sortedRecords(got), sortedRecords(want)) {
 				t.Fatalf("batch %d: streamed fold emitted %v, decode+apply %v", batch, got, want)
@@ -290,8 +291,10 @@ func reduceTask(w *Worker, job *dag.Job, batch core.BatchID, maps int) core.Runn
 
 // TestCorruptBlockFailsTaskBeforeState: every block of a reduce task is
 // validated before the first record is folded, so a task whose third of four
-// blocks is corrupt fails with the state exactly as it was — no half-applied
-// batch for the retry to double-count, and the batch not marked applied.
+// blocks is corrupt — truncated, overwritten, in an unknown or stale format,
+// or a good batch with bytes after it — fails with the state exactly as it
+// was: no half-applied batch for the retry to double-count, and the batch
+// not marked applied.
 func TestCorruptBlockFailsTaskBeforeState(t *testing.T) {
 	const maps = 4
 	job := shuffleJob(nil, maps, 1, false)
@@ -300,13 +303,16 @@ func TestCorruptBlockFailsTaskBeforeState(t *testing.T) {
 	block := func(batch core.BatchID, m int) shuffle.BlockID {
 		return shuffle.BlockID{Job: job.Name, Batch: int64(batch), Stage: 0, MapPartition: m, ReducePartition: 0}
 	}
+	records := func(batch core.BatchID) []data.Record {
+		recs := make([]data.Record, 500)
+		for i := range recs {
+			recs[i] = data.Record{Key: uint64(i % 50), Val: 1, Time: int64(batch)*int64(job.Interval) + int64(i)}
+		}
+		return recs
+	}
 	put := func(batch core.BatchID) {
 		for m := 0; m < maps; m++ {
-			recs := make([]data.Record, 500)
-			for i := range recs {
-				recs[i] = data.Record{Key: uint64(i % 50), Val: 1, Time: int64(batch)*int64(job.Interval) + int64(i)}
-			}
-			w.store.Put(block(batch, m), recs)
+			w.store.Put(block(batch, m), records(batch))
 		}
 	}
 	run := func(batch core.BatchID) error {
@@ -330,6 +336,9 @@ func TestCorruptBlockFailsTaskBeforeState(t *testing.T) {
 		"truncated":      good[:len(good)/2],
 		"flipped":        append(append([]byte{}, good[:len(good)-9]...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
 		"unknown format": {0xFF, 0xFF, 0xFF, 0xFF, 9},
+		"stale row":      append(binary.LittleEndian.AppendUint32(nil, 1), make([]byte, 28)...),
+		// A whole, uncompressed batch with one byte after it.
+		"trailing byte": append(data.EncodeBatchColumnar(nil, records(1)), 0),
 	} {
 		w.store.PutRaw(block(1, 2), bad)
 		err := run(1)

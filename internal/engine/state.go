@@ -8,6 +8,7 @@ import (
 	"drizzle/internal/core"
 	"drizzle/internal/dag"
 	"drizzle/internal/data"
+	"drizzle/internal/shuffle"
 )
 
 // StateStore holds a worker's terminal-stage window state, one partition
@@ -77,11 +78,15 @@ func (s *StateStore) ApplyBatch(
 
 // ApplyBlocks is ApplyBatch for a micro-batch that is still encoded: the
 // shuffle blocks of one reduce task, opened (and so validated — a corrupt
-// block never gets this far) but not decoded. The records are folded into
-// the window state straight off the encoded columns; no []data.Record ever
-// exists. The blocks are only read, and only during the call: they may alias
-// scratch the caller reuses as soon as ApplyBlocks returns. The emitted
-// records are freshly allocated.
+// block never gets this far) but not decoded. The records are read straight
+// off the encoded columns; no []data.Record ever exists. They are first
+// aggregated per (key, window) in agg — the calling slot's table, reused
+// from task to task (nil takes a fresh one) — before the partition is even
+// locked, so the window state sees each group of the task once instead of
+// each record; ReduceFunc's contract (commutative, associative) makes that
+// the same fold. The blocks are only read, and only during the call: they
+// may alias scratch the caller reuses as soon as ApplyBlocks returns. The
+// emitted records are freshly allocated.
 func (s *StateStore) ApplyBlocks(
 	key checkpoint.StateKey,
 	batch core.BatchID,
@@ -89,13 +94,34 @@ func (s *StateStore) ApplyBlocks(
 	reduce dag.ReduceFunc,
 	window dag.WindowSpec,
 	closeNanos func(core.BatchID) int64,
+	agg *shuffle.AggTable,
 ) (emitted []data.Record, dup bool) {
-	return s.apply(key, batch, window, closeNanos, func(f *windowFolder) {
-		for i := range blocks {
-			for it := blocks[i].Iter(); it.Next(); {
-				f.add(it.Key, it.Val, it.Time, reduce)
+	if agg == nil {
+		agg = new(shuffle.AggTable)
+	}
+	defer agg.Reset()
+	// Records arrive in event-time runs, so the window of the last one is
+	// kept: [lo, hi), empty at first and whenever the arithmetic wraps.
+	var it data.BatchIter
+	var lo, hi int64
+	for i := range blocks {
+		for it = blocks[i].Iter(); it.Next(); {
+			if it.Time < lo || it.Time >= hi {
+				lo = window.Assign(it.Time)
+				hi = lo + int64(window.Size)
 			}
+			agg.Add(it.Key, lo, it.Val, reduce)
 		}
+	}
+	return s.apply(key, batch, window, closeNanos, func(f *windowFolder) {
+		var w0 int64
+		var kv map[uint64]int64
+		agg.Each(func(k uint64, w, v int64) {
+			if kv == nil || w != w0 {
+				w0, kv = w, f.in(w)
+			}
+			merge(kv, k, v, reduce)
+		})
 	})
 }
 
@@ -113,21 +139,31 @@ type windowFolder struct {
 	kv     map[uint64]int64
 }
 
+// add folds one record into the window its event time t falls in.
 func (f *windowFolder) add(key uint64, val, t int64, reduce dag.ReduceFunc) {
 	if t < f.lo || t >= f.hi {
 		f.lo = f.window.Assign(t)
 		f.hi = f.lo + int64(f.window.Size)
-		kv, ok := f.windows[f.lo]
-		if !ok {
-			kv = make(map[uint64]int64)
-			f.windows[f.lo] = kv
-		}
-		f.kv = kv
+		f.kv = f.in(f.lo)
 	}
-	if v, ok := f.kv[key]; ok {
-		f.kv[key] = reduce(v, val)
+	merge(f.kv, key, val, reduce)
+}
+
+// in returns the map of the window starting at w, creating it if need be.
+func (f *windowFolder) in(w int64) map[uint64]int64 {
+	kv, ok := f.windows[w]
+	if !ok {
+		kv = make(map[uint64]int64)
+		f.windows[w] = kv
+	}
+	return kv
+}
+
+func merge(kv map[uint64]int64, key uint64, val int64, reduce dag.ReduceFunc) {
+	if v, ok := kv[key]; ok {
+		kv[key] = reduce(v, val)
 	} else {
-		f.kv[key] = val
+		kv[key] = val
 	}
 }
 

@@ -451,11 +451,12 @@ type slotScratch struct {
 	index  data.PartitionIndex
 	blocks *shuffle.BlockWriter
 	// Reduce side: the task's input blocks as stored or fetched, the
-	// decompressed bodies of the compressed ones, and the validated views
-	// over both.
+	// decompressed bodies of the compressed ones, the validated views over
+	// both, and the table a windowed fold aggregates them in.
 	in      []shuffle.Block
 	inflate []byte
 	batches []data.Batch
+	agg     shuffle.AggTable
 }
 
 func newSlotScratch(store *shuffle.Store) *slotScratch {
@@ -473,10 +474,14 @@ func (sc *slotScratch) release() {
 
 // open validates every input block of the task, decompressing the
 // compressed ones into the slot's inflate buffer, and returns the views. It
-// fails on the first corrupt block, before the task has touched any state.
+// fails on the first corrupt block — one with bytes after its batch
+// included — before the task has touched any state.
 func (sc *slotScratch) open(id core.TaskID) ([]data.Batch, error) {
 	for i := range sc.in {
 		b, err := data.OpenBatch(sc.in[i].Data, &sc.inflate)
+		if err == nil && b.Size() != len(sc.in[i].Data) {
+			err = fmt.Errorf("%d trailing byte(s) after the batch", len(sc.in[i].Data)-b.Size())
+		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: task %v: block %+v: %w", id, sc.in[i].ID, err)
 		}
@@ -648,7 +653,7 @@ func (w *Worker) execute(rt core.RunnableTask, sc *slotScratch, tr *trace.Tracer
 		// headers, which the task then owns.
 		if stage.IsTerminal() && stage.Window != nil && len(stage.Ops) == 0 {
 			key := checkpoint.StateKey{Job: ji.name, Stage: id.Stage, Partition: id.Partition}
-			emitted, _ := w.states.ApplyBlocks(key, id.Batch, batches, stage.Reduce, *stage.Window, ji.closeNanos)
+			emitted, _ := w.states.ApplyBlocks(key, id.Batch, batches, stage.Reduce, *stage.Window, ji.closeNanos, &sc.agg)
 			w.sink(stage, id, emitted)
 			return nil, nil
 		}

@@ -131,8 +131,9 @@ func (f *Fetcher) HandleResponse(resp FetchResponse) {
 }
 
 // Fetch requests blocks from holder and waits up to timeout for the
-// response. An error is returned on transport failure, timeout, or if the
-// holder reports any block missing.
+// response. An error is returned on transport failure, timeout, if the
+// holder reports any block missing, or if the blocks it sent are not the
+// ones requested, one each and in request order.
 func (f *Fetcher) Fetch(holder rpc.NodeID, blocks []BlockID, timeout time.Duration) ([]Block, error) {
 	ch := make(chan FetchResponse, 1)
 	f.mu.Lock()
@@ -157,6 +158,12 @@ func (f *Fetcher) Fetch(holder rpc.NodeID, blocks []BlockID, timeout time.Durati
 		if len(resp.Missing) > 0 {
 			f.cErrors.Inc()
 			return nil, fmt.Errorf("shuffle: %s missing %d block(s), first %+v", holder, len(resp.Missing), resp.Missing[0])
+		}
+		for i := 0; i < len(blocks) || i < len(resp.Blocks); i++ {
+			if i >= len(blocks) || i >= len(resp.Blocks) || resp.Blocks[i].ID != blocks[i] {
+				f.cErrors.Inc()
+				return nil, fmt.Errorf("shuffle: %s sent %d block(s) for %d requested, not the same from #%d", holder, len(resp.Blocks), len(blocks), i)
+			}
 		}
 		var bytes int64
 		for _, b := range resp.Blocks {

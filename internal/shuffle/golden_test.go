@@ -3,6 +3,7 @@ package shuffle
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -65,26 +66,49 @@ func blockDigest(b []byte) string {
 	return fmt.Sprintf("%d %s", len(b), hex.EncodeToString(sum[:]))
 }
 
-// TestBlockBytesMatchGolden pins the stored block format. The vectors in
-// testdata/golden_blocks.txt were written by commit d7a2e74 — the last one
-// that copied every reducer's records out (data.PartitionRecords) and encoded
-// the copy into a row-sized buffer (Store.Put) — from goldenInputs. Both the
-// engine's path (PartitionIndex + BlockWriter, one reused writer across all
-// inputs as in an executor slot) and the kept wrappers must still produce
-// those bytes exactly: blocks written by either side of this change are read
-// by the other during a rolling restart, and fetched blocks are served
-// verbatim.
+// recordsDigest is how what a block holds is written down in the golden
+// file, whatever its layout: the sha256 of its decoded records, each as key,
+// val, time and payload length in 8-byte little-endian words followed by the
+// payload.
+func recordsDigest(recs []data.Record) string {
+	h := sha256.New()
+	var w [32]byte
+	for _, r := range recs {
+		binary.LittleEndian.PutUint64(w[0:], r.Key)
+		binary.LittleEndian.PutUint64(w[8:], uint64(r.Val))
+		binary.LittleEndian.PutUint64(w[16:], uint64(r.Time))
+		binary.LittleEndian.PutUint64(w[24:], uint64(len(r.Payload)))
+		h.Write(w[:])
+		h.Write(r.Payload)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBlockBytesMatchGolden pins the stored block format twice over, against
+// testdata/golden_blocks.txt. The records column was written before block
+// format v2 existed, from what the blocks of the layout before it decoded
+// to: every stored block must still decode to exactly those records. The
+// bytes column pins v2 itself: both the engine's path (PartitionIndex +
+// BlockWriter, one reused writer across all inputs as in an executor slot)
+// and the kept wrappers must produce those bytes exactly, since fetched
+// blocks are served verbatim and a map task re-run in recovery must store
+// what the first run did. And the sessions input — hashed Zipf keys, val 1,
+// rising times: the sessions-groupby shape — must stay at most 5.3 stored
+// bytes per record.
 func TestBlockBytesMatchGolden(t *testing.T) {
 	f, err := os.Open("testdata/golden_blocks.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	golden := make(map[string]string)
+	golden := make(map[string][2]string)
 	for sc := bufio.NewScanner(f); sc.Scan(); {
 		if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
-			name, digest, _ := strings.Cut(line, " ")
-			golden[name] = digest
+			fields := strings.Fields(line)
+			if len(fields) != 4 {
+				t.Fatalf("malformed golden line %q", line)
+			}
+			golden[fields[0]] = [2]string{fields[1] + " " + fields[2], fields[3]}
 		}
 	}
 
@@ -92,6 +116,7 @@ func TestBlockBytesMatchGolden(t *testing.T) {
 	writer := NewBlockWriter(store)
 	var index data.PartitionIndex
 	checked := 0
+	stored := make(map[string]int) // input -> bytes stored by the engine's path
 	check := func(name string, id BlockID) {
 		t.Helper()
 		raw, ok := store.GetRaw(id)
@@ -102,8 +127,18 @@ func TestBlockBytesMatchGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no golden vector", name)
 		}
-		if got := blockDigest(raw); got != want {
-			t.Errorf("%s: block is %s, golden %s", name, got, want)
+		recs, _, err := data.DecodeBatch(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := recordsDigest(recs); got != want[1] {
+			t.Errorf("%s: block decodes to records %s, golden %s", name, got, want[1])
+		}
+		if got := blockDigest(raw); got != want[0] {
+			t.Errorf("%s: block is %s, golden %s", name, got, want[0])
+		}
+		if id.Job == "index" {
+			stored[strings.Split(name, "/")[0]] += len(raw)
 		}
 		checked++
 	}
@@ -128,5 +163,11 @@ func TestBlockBytesMatchGolden(t *testing.T) {
 	}
 	if checked != 2*len(golden) {
 		t.Errorf("checked %d blocks against %d golden vectors (each twice)", checked, len(golden))
+	}
+	sessions := goldenInputs()[0]
+	perRecord := float64(stored[sessions.name]) / float64(len(sessions.recs))
+	t.Logf("%s: %.2f stored bytes per record", sessions.name, perRecord)
+	if perRecord > 5.3 {
+		t.Errorf("%s: %.2f stored bytes per record, bound 5.3", sessions.name, perRecord)
 	}
 }

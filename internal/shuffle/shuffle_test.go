@@ -1,8 +1,10 @@
 package shuffle
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -189,6 +191,69 @@ func TestPutCombinedMatchesNaiveAggregation(t *testing.T) {
 	}
 }
 
+// TestPutCombinedIsDeterministic: a combined block is a function of its
+// input. Twenty writers, each fresh, combine the same records into the same
+// bytes — the table drains in the order groups first appeared, not in the
+// order a hash map happens to iterate.
+func TestPutCombinedIsDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	recs := make([]data.Record, 5000)
+	for i := range recs {
+		recs[i] = data.Record{Key: rng.Uint64() % 500, Val: 1, Time: int64(rng.Intn(int(40 * time.Millisecond)))}
+	}
+	bucket := WindowBucket(dag.WindowSpec{Size: 10 * time.Millisecond})
+	var first []byte
+	for w := 0; w < 20; w++ {
+		store := NewStore()
+		NewBlockWriter(store).PutCombined(BlockID{}, recs, nil, dag.Sum, bucket)
+		got, _ := store.GetRaw(BlockID{})
+		if w == 0 {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("writer %d stored a different block for the same input (%d vs %d bytes)", w, len(got), len(first))
+		}
+	}
+}
+
+// TestAggTableMatchesMap folds random groups through one table, drained and
+// reused many times, against a plain map: same groups, same values, each
+// once, in first-seen order.
+func TestAggTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	var table AggTable
+	var out []data.Record
+	for round := 0; round < 30; round++ {
+		n, keys := rng.Intn(3000), 1+rng.Intn(2000)
+		recs := make([]data.Record, n)
+		want := make(map[combineKey]int64)
+		var order []combineKey
+		for i := range recs {
+			recs[i] = data.Record{Key: uint64(rng.Intn(keys)) << uint(rng.Intn(40)), Val: rng.Int63n(100), Time: int64(rng.Intn(4))}
+			k := combineKey{recs[i].Key, recs[i].Time}
+			if _, ok := want[k]; !ok {
+				order = append(order, k)
+			}
+			want[k] = max(want[k], recs[i].Val)
+		}
+		table.Fold(recs, nil, dag.Max, func(ns int64) int64 { return ns })
+		out = table.Drain(out[:0])
+		if len(out) != len(order) {
+			t.Fatalf("round %d: %d groups drained, want %d", round, len(out), len(order))
+		}
+		for i, r := range out {
+			if k := (combineKey{r.Key, r.Time}); k != order[i] || r.Val != want[k] {
+				t.Fatalf("round %d: group %d is (%d, %d) = %d, want (%d, %d) = %d",
+					round, i, r.Key, r.Time, r.Val, order[i].key, order[i].bucket, want[order[i]])
+			}
+		}
+	}
+}
+
+type combineKey struct {
+	key    uint64
+	bucket int64
+}
+
 func TestCombineEmpty(t *testing.T) {
 	if out := Combine(nil, dag.Sum, IdentityBucket); len(out) != 0 {
 		t.Fatalf("Combine(nil) = %v", out)
@@ -234,6 +299,47 @@ func TestFetchRoundTrip(t *testing.T) {
 	recs, _, err := data.DecodeBatch(blocks[0].Data)
 	if err != nil || len(recs) != 1 || recs[0].Val != 70 {
 		t.Fatalf("decoded %v, err %v", recs, err)
+	}
+}
+
+// TestFetchRejectsMismatchedBlocks: a response is checked against its
+// request. A holder that answers with too few or too many blocks, another
+// block, or the right blocks out of order gets a fetch error — counted as
+// one — instead of handing the reduce task someone else's data.
+func TestFetchRejectsMismatchedBlocks(t *testing.T) {
+	a, b, c := BlockID{Batch: 1}, BlockID{Batch: 2}, BlockID{Batch: 3}
+	req := []BlockID{a, b}
+	blk := func(id BlockID) Block { return Block{ID: id, Data: []byte{1}} }
+	for name, sent := range map[string][]Block{
+		"too few":      {blk(a)},
+		"too many":     {blk(a), blk(b), blk(c)},
+		"another":      {blk(a), blk(c)},
+		"out of order": {blk(b), blk(a)},
+	} {
+		net := rpc.NewInMemNetwork(rpc.InMemConfig{})
+		fetcher := NewFetcher("asker", func(to rpc.NodeID, msg any) error { return net.Send("asker", to, msg) })
+		if err := net.Register("holder", func(_ rpc.NodeID, msg any) {
+			if r, ok := msg.(FetchRequest); ok {
+				_ = net.Send("holder", r.From, FetchResponse{ID: r.ID, Blocks: sent})
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Register("asker", func(_ rpc.NodeID, msg any) {
+			if resp, ok := msg.(FetchResponse); ok {
+				fetcher.HandleResponse(resp)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fetcher.Fetch("holder", req, time.Second)
+		if err == nil || !strings.Contains(err.Error(), "holder") {
+			t.Errorf("%s: Fetch = %d blocks, err %v; want an error naming the holder", name, len(got), err)
+		}
+		if n := fetcher.cErrors.Value(); n != 1 {
+			t.Errorf("%s: %d fetch errors counted, want 1", name, n)
+		}
+		net.Close()
 	}
 }
 

@@ -62,7 +62,7 @@ func (s *Store) gaugesLocked() {
 	s.gBytes.Set(float64(s.bytes))
 }
 
-// Put encodes recs (columnar varint layout, snappy-compressed above
+// Put encodes recs (block format v2, snappy-compressed above
 // blockCompressThreshold) and stores them under id, returning the stored
 // size. Re-putting a block (recovery re-runs a map task) overwrites it. The
 // stored bytes are what remote fetchers receive verbatim: encoding — and
@@ -83,9 +83,10 @@ func (s *Store) Put(id BlockID, recs []data.Record) int {
 // the call only, and the stored block is a copy.
 type BlockWriter struct {
 	store *Store
-	enc   []byte // columnar encoding of the block being written
+	enc   []byte // encoding of the block being written
 	comp  []byte // its compressed envelope
-	combiner
+	table AggTable
+	agg   []data.Record // the table's drained output, reused per block
 }
 
 // NewBlockWriter returns a writer storing into s.
@@ -111,8 +112,8 @@ func (w *BlockWriter) Put(id BlockID, recs []data.Record, idx []uint32) int {
 // PutCombined partially aggregates the selected records by (key, time
 // bucket) with f, as Combine does, and stores the aggregates as one block.
 func (w *BlockWriter) PutCombined(id BlockID, recs []data.Record, idx []uint32, f dag.ReduceFunc, bucket TimeBucket) int {
-	w.fold(recs, idx, f, bucket)
-	w.agg = w.drain(w.agg[:0])
+	w.table.Fold(recs, idx, f, bucket)
+	w.agg = w.table.Drain(w.agg[:0])
 	return w.Put(id, w.agg, nil)
 }
 
@@ -141,34 +142,27 @@ func (s *Store) GetRaw(id BlockID) ([]byte, bool) {
 // purge watermarks on LaunchTasks so shuffle data from completed groups is
 // garbage collected.
 func (s *Store) PurgeBefore(batch int64) int64 {
-	s.mu.Lock()
-	var freed int64
-	for id, b := range s.blocks {
-		if id.Batch < batch {
-			freed += int64(len(b))
-			delete(s.blocks, id)
-		}
-	}
-	s.bytes -= freed
-	s.gaugesLocked()
-	s.mu.Unlock()
-	return freed
+	return s.purge(func(id BlockID) bool { return id.Batch < batch })
 }
 
 // PurgeJob drops every block belonging to the named job, used when a new
 // run of the job is submitted to this worker.
 func (s *Store) PurgeJob(job string) int64 {
+	return s.purge(func(id BlockID) bool { return id.Job == job })
+}
+
+func (s *Store) purge(drop func(BlockID) bool) int64 {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	var freed int64
 	for id, b := range s.blocks {
-		if id.Job == job {
+		if drop(id) {
 			freed += int64(len(b))
 			delete(s.blocks, id)
 		}
 	}
 	s.bytes -= freed
 	s.gaugesLocked()
-	s.mu.Unlock()
 	return freed
 }
 

@@ -20,9 +20,8 @@ const (
 )
 
 // blockCompressThreshold is the encoded-block size at which Store.Put
-// switches to the compressed batch format. Columnar varint blocks are
-// already dense, so small blocks are not worth the CPU; payload-heavy
-// blocks usually are.
+// switches to the compressed batch format. Small blocks are not worth the
+// CPU; large ones — a hot key repeats as the same eight bytes — are.
 const blockCompressThreshold = 4 << 10
 
 func appendBlockID(dst []byte, id BlockID) []byte {

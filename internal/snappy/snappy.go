@@ -66,60 +66,110 @@ func AppendEncoded(dst, src []byte) []byte {
 }
 
 const (
-	hashTableBits = 14
-	hashMul       = 0x1e35a7bd
+	maxTableBits = 14
+	hashMul      = 0x1e35a7bd
+
+	// inputMargin keeps every probe's loads inside the block: the match
+	// search stops this far from its end, and the tail goes out as a
+	// literal.
+	inputMargin = 16 - 1
 )
 
 func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
-func hash32(u uint32) uint32 {
-	return (u * hashMul) >> (32 - hashTableBits)
+func load64(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i:])
 }
 
-// encodeBlock greedily matches 4-byte anchors through a position hash table
-// and emits literal runs between matches. len(src) <= maxBlockSize, so
-// every offset fits the 2-byte copy form.
+func hash(u uint32, shift uint) uint32 {
+	return (u * hashMul) >> shift
+}
+
+// encodeBlock greedily matches 4-byte anchors through a hash table of
+// positions and emits literal runs between matches. len(src) <=
+// maxBlockSize, so every position fits the table's uint16 and every offset
+// a copy element.
+//
+// Two things keep it fast where there is little to find. The table is sized
+// to the block (256 to 16384 entries), so a small block clears and probes a
+// small one. And each miss lengthens the stride of the search: after 32
+// misses in a row it probes every second byte, after 32 more every third,
+// so incompressible input — hashed keys are — costs a fraction of a probe
+// per byte instead of one, while a match resets the stride.
 func encodeBlock(dst, src []byte) []byte {
-	if len(src) < 8 {
+	if len(src) <= inputMargin+1 {
 		return emitLiteral(dst, src)
 	}
-	// Table entries are position+1; zero means empty.
-	var table [1 << hashTableBits]uint32
+	shift := uint(32 - 8)
+	for size := 1 << 8; size < 1<<maxTableBits && size < len(src); size <<= 1 {
+		shift--
+	}
+	// A zero entry names position 0, a candidate like any other: every
+	// candidate is verified against the source before it is used.
+	var table [1 << maxTableBits]uint16
+	limit := len(src) - inputMargin
 	lit := 0 // start of the pending literal run
-	s := 0
-	limit := len(src) - 4 // last position with a full 4-byte load
-	for s <= limit {
-		h := hash32(load32(src, s))
-		cand := int(table[h]) - 1
-		table[h] = uint32(s + 1)
-		if cand < 0 || load32(src, cand) != load32(src, s) {
-			s++
-			continue
-		}
-		// Extend the match forward, eight bytes per probe while a full
-		// word remains (cand < s, so the candidate load stays in bounds
-		// whenever the source load does).
-		matched := 4
-		for s+matched+8 <= len(src) {
-			x := binary.LittleEndian.Uint64(src[cand+matched:]) ^
-				binary.LittleEndian.Uint64(src[s+matched:])
-			if x != 0 {
-				matched += bits.TrailingZeros64(x) >> 3
+	s := 1
+	next := hash(load32(src, s), shift)
+	for {
+		// Find a match: a candidate whose next four bytes equal ours.
+		skip, nextS, cand := 32, s, 0
+		for {
+			s = nextS
+			step := skip >> 5
+			nextS = s + step
+			skip += step
+			if nextS > limit {
+				return emitLiteral(dst, src[lit:])
+			}
+			cand = int(table[next])
+			table[next] = uint16(s)
+			next = hash(load32(src, nextS), shift)
+			if load32(src, s) == load32(src, cand) {
 				break
 			}
-			matched += 8
-		}
-		for s+matched < len(src) && src[cand+matched] == src[s+matched] {
-			matched++
 		}
 		dst = emitLiteral(dst, src[lit:s])
-		dst = emitCopy(dst, s-cand, matched)
-		s += matched
-		lit = s
+		// Emit the match and, as long as the position right after it
+		// matches too, the next one, without going back to the search.
+		for {
+			base := s
+			s = extendMatch(src, cand+4, s+4)
+			dst = emitCopy(dst, base-cand, s-base)
+			lit = s
+			if s >= limit {
+				return emitLiteral(dst, src[lit:])
+			}
+			// Index the last byte of the match and try the one after it.
+			x := load64(src, s-1)
+			table[hash(uint32(x), shift)] = uint16(s - 1)
+			h := hash(uint32(x>>8), shift)
+			cand = int(table[h])
+			table[h] = uint16(s)
+			if uint32(x>>8) != load32(src, cand) {
+				next = hash(uint32(x>>16), shift)
+				s++
+				break
+			}
+		}
 	}
-	return emitLiteral(dst, src[lit:])
+}
+
+// extendMatch returns the end of the match src[j:] has with src[i:] (i <
+// j), comparing eight bytes per probe while a full word remains.
+func extendMatch(src []byte, i, j int) int {
+	for j+8 <= len(src) {
+		if x := load64(src, i) ^ load64(src, j); x != 0 {
+			return j + bits.TrailingZeros64(x)>>3
+		}
+		i, j = i+8, j+8
+	}
+	for j < len(src) && src[i] == src[j] {
+		i, j = i+1, j+1
+	}
+	return j
 }
 
 // emitLiteral appends a literal element for b (no-op when empty).
@@ -139,9 +189,10 @@ func emitLiteral(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// emitCopy appends 2-byte-offset copy elements covering length bytes at
-// offset. Chunking follows the usual 68/64/60 schedule so the final element
-// is always in the legal 4..64 range.
+// emitCopy appends copy elements covering length bytes at offset. Chunking
+// follows the usual 68/64/60 schedule so the final element is always in the
+// legal 4..64 range; that last one takes the 2-byte form when it is short
+// (4..11 bytes) and near (offset < 2048), the 3-byte form otherwise.
 func emitCopy(dst []byte, offset, length int) []byte {
 	for length >= 68 {
 		dst = append(dst, 63<<2|tagCopy2, byte(offset), byte(offset>>8))
@@ -151,8 +202,10 @@ func emitCopy(dst []byte, offset, length int) []byte {
 		dst = append(dst, 59<<2|tagCopy2, byte(offset), byte(offset>>8))
 		length -= 60
 	}
-	dst = append(dst, byte(length-1)<<2|tagCopy2, byte(offset), byte(offset>>8))
-	return dst
+	if length < 12 && offset < 2048 {
+		return append(dst, byte(offset>>8)<<5|byte(length-4)<<2|tagCopy1, byte(offset))
+	}
+	return append(dst, byte(length-1)<<2|tagCopy2, byte(offset), byte(offset>>8))
 }
 
 // DecodedLen returns the decoded length claimed by an encoded block's
@@ -219,7 +272,15 @@ func AppendDecoded(dst, src []byte) ([]byte, error) {
 			if length > dLen-j {
 				return dst, fmt.Errorf("%w: literal of %d overruns output", ErrCorrupt, length)
 			}
-			copy(out[j:], src[i:i+length])
+			if length <= 16 && len(src)-i >= 16 && dLen-j >= 16 {
+				// A short literal, the common one, moves as two words. The
+				// bytes past its end are written over by what follows:
+				// decoding fills the output front to back, all of it.
+				binary.LittleEndian.PutUint64(out[j:], binary.LittleEndian.Uint64(src[i:]))
+				binary.LittleEndian.PutUint64(out[j+8:], binary.LittleEndian.Uint64(src[i+8:]))
+			} else {
+				copy(out[j:], src[i:i+length])
+			}
 			i += length
 			j += length
 			continue
@@ -255,11 +316,21 @@ func AppendDecoded(dst, src []byte) ([]byte, error) {
 		if length > dLen-j {
 			return dst, fmt.Errorf("%w: copy of %d overruns output", ErrCorrupt, length)
 		}
+		from := j - offset
+		if length <= 16 && offset >= 8 && dLen-j >= 16 {
+			// A short copy from at least a word back moves as two words,
+			// the second read after the first is written, so an overlap
+			// reads what the first word put there — as a byte-wise forward
+			// copy would. The overshoot is written over, as for literals.
+			binary.LittleEndian.PutUint64(out[j:], binary.LittleEndian.Uint64(out[from:]))
+			binary.LittleEndian.PutUint64(out[j+8:], binary.LittleEndian.Uint64(out[from+8:]))
+			j += length
+			continue
+		}
 		// Forward copy in waves: each pass moves min(length, j-from)
 		// bytes, so an overlapping copy (offset < length, the RLE case)
 		// doubles the replicated pattern per pass instead of moving one
 		// byte at a time, and a non-overlapping copy finishes in one.
-		from := j - offset
 		for length > 0 {
 			n := copy(out[j:j+length], out[from:j])
 			j += n
