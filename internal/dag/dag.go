@@ -33,12 +33,20 @@ type BatchInfo struct {
 	Partition int
 	// Start and End bound the batch's input interval in unix nanoseconds.
 	Start, End int64
+	// Scratch is memory the running task lends the source to render into;
+	// nil (outside the engine) makes every draw allocate.
+	Scratch *data.SourceScratch
 }
 
 // SourceFunc produces the input records of one partition of one micro-batch.
 // It must be a pure function of its argument: recovery re-invokes it to
 // replay lost inputs, the same contract Kafka offsets provide the real
-// system.
+// system. Its output must not depend on Scratch.
+//
+// Ownership: records and payloads drawn from b.Scratch are valid only until
+// the task returns — the slot's next task draws the same memory. Whatever
+// consumes them (ops, sinks) follows the NarrowOp and SinkFunc contracts and
+// copies what it wants to keep.
 type SourceFunc func(b BatchInfo) []data.Record
 
 // SinkFunc receives the output records of one partition of one micro-batch

@@ -17,6 +17,7 @@ import (
 	"drizzle/internal/rpc"
 	"drizzle/internal/shuffle"
 	"drizzle/internal/snappy"
+	"drizzle/internal/workload"
 )
 
 // This file tests the data path of one micro-batch (DESIGN.md has the
@@ -414,6 +415,52 @@ func TestMapTaskAllocationsIndependentOfRecords(t *testing.T) {
 		}
 		if counts[1] > 4*reducers {
 			t.Errorf("combine=%v: %v allocations per map task writing %d blocks", combine, counts[1], reducers)
+		}
+	}
+}
+
+// TestSourceTaskAllocationsIndependentOfRecords: a map task whose source
+// renders events — Video.SourceFunc, parsed by ParseOp — allocates exactly
+// what the same task allocates when its source hands out events rendered
+// beforehand: after the slot's first task the source renders into the
+// slot's scratch and contributes nothing, at 1 k events and at 30 k.
+func TestSourceTaskAllocationsIndependentOfRecords(t *testing.T) {
+	const reducers = 4
+	for _, combine := range []bool{false, true} {
+		var counts []float64
+		for _, n := range []int{1_000, 30_000} {
+			// 16 sessions: every batch meets every key, so the combine table
+			// is sized by the first task like every other slot buffer.
+			v := workload.NewVideo(workload.VideoConfig{
+				Sessions: 16, EventsPerSecPerPartition: n * 1000, ZipfS: 1.2, WindowSize: time.Second, Seed: 3,
+			})
+			rendered := v.Gen(0, 0, int64(time.Millisecond))
+			work := make([]data.Record, len(rendered))
+			count := func(source dag.SourceFunc) float64 {
+				job := shuffleJob(source, 1, reducers, combine)
+				job.Stages[0].Ops = []dag.NarrowOp{v.ParseOp()}
+				w, sc := bareWorker(t, job)
+				batch := core.BatchID(-1)
+				return allocsPerTask(t, w, sc, func() core.RunnableTask {
+					batch++
+					return core.RunnableTask{Desc: core.TaskDescriptor{Job: job.Name, ID: core.TaskID{Batch: batch, Stage: 0}}}
+				})
+			}
+			// ParseOp writes its keyed records over its input, so the
+			// prebuilt source hands out a fresh copy of the headers each time.
+			prebuilt := count(func(dag.BatchInfo) []data.Record { copy(work, rendered); return work })
+			source := count(v.SourceFunc())
+			t.Logf("combine=%v, %d events: %v allocations per map task, %v with the events prebuilt", combine, n, source, prebuilt)
+			if source != prebuilt {
+				t.Errorf("combine=%v, %d events: the source adds %v allocations per map task", combine, n, source-prebuilt)
+			}
+			if source > 4*reducers {
+				t.Errorf("combine=%v, %d events: %v allocations per map task writing %d blocks", combine, n, source, reducers)
+			}
+			counts = append(counts, source)
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("combine=%v: allocations per source task grow with the input: %v at 1k events, %v at 30k", combine, counts[0], counts[1])
 		}
 	}
 }

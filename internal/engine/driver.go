@@ -128,6 +128,15 @@ func newDriverMetrics(r *metrics.Registry) driverMetrics {
 	}
 }
 
+// statusQueueLen bounds the task reports queued between the transport and
+// the driver's run loop by the rule in DESIGN.md § "Bounded inbound
+// delivery": what one group can put in flight × 2, with headroom
+// (sched-tiny's 240 tasks per group is the largest on the benchmark). It is
+// not sized never to fill — every slot is a pointer-bearing core.TaskStatus
+// that each GC cycle scans — and a full queue blocks the sender (handle)
+// instead of dropping a report.
+const statusQueueLen = 1 << 12
+
 // NewDriver constructs a driver; call Start to attach it to the network.
 // ckptStore may be nil, in which case an in-memory store is used.
 func NewDriver(id rpc.NodeID, net rpc.Network, reg *Registry, cfg Config, ckptStore checkpoint.Store) *Driver {
@@ -150,7 +159,7 @@ func NewDriver(id rpc.NodeID, net rpc.Network, reg *Registry, cfg Config, ckptSt
 		workers:  make(map[rpc.NodeID]*workerState),
 		addrs:    make(map[rpc.NodeID]string),
 		health:   newHealthTracker(cfg),
-		statusCh: make(chan core.TaskStatus, 1<<16),
+		statusCh: make(chan core.TaskStatus, statusQueueLen),
 		failCh:   make(chan rpc.NodeID, 64),
 		stop:     make(chan struct{}),
 	}

@@ -459,3 +459,64 @@ func TestWorkerDiesBetweenMapOutputAndReduceFetch(t *testing.T) {
 		t.Fatalf("results diverge after map-holder death:\n%s", diff)
 	}
 }
+
+// TestFullStatusQueueHoldsReportsBack: the driver's status queue is bounded
+// by a rule (statusQueueLen), not sized to never fill, so a burst past it
+// must hold reports back rather than lose them. With the queue full and
+// nothing draining, one more report blocks its sender; draining delivers
+// every report, in arrival order; and stopping the driver releases a sender
+// still blocked.
+func TestFullStatusQueueHoldsReportsBack(t *testing.T) {
+	d := NewDriver("driver", &recordingNet{}, NewRegistry(), DefaultConfig(), nil)
+	if c := cap(d.statusCh); c != statusQueueLen {
+		t.Fatalf("status queue holds %d reports, want statusQueueLen = %d", c, statusQueueLen)
+	}
+	report := func(i int) core.TaskStatus {
+		return core.TaskStatus{ID: core.TaskID{Batch: core.BatchID(i)}, Worker: "w0", OK: true}
+	}
+	fill := func() {
+		for i := 0; i < statusQueueLen; i++ {
+			d.handle("w0", report(i))
+		}
+	}
+	sendOneMore := func() <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			d.handle("w0", report(statusQueueLen))
+			close(done)
+		}()
+		return done
+	}
+
+	fill()
+	sent := sendOneMore()
+	select {
+	case <-sent:
+		t.Fatal("a report past a full queue returned with nothing draining: it was dropped")
+	case <-time.After(50 * time.Millisecond):
+	}
+	for i := 0; i <= statusQueueLen; i++ {
+		select {
+		case st := <-d.statusCh:
+			if st.ID.Batch != core.BatchID(i) {
+				t.Fatalf("report %d drained as report %d", i, st.ID.Batch)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("report %d of %d never arrived", i, statusQueueLen+1)
+		}
+	}
+	select {
+	case <-sent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the blocked sender was not released by draining")
+	}
+
+	fill()
+	blocked := sendOneMore()
+	d.Stop()
+	select {
+	case <-blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stopping the driver left a sender blocked on the full queue")
+	}
+}

@@ -14,6 +14,7 @@ import "drizzle/internal/data"
 //	go test -tags poisonscratch ./internal/engine ./internal/chaos
 
 func (sc *slotScratch) poison() {
+	sc.source.Scribble()
 	sc.index.Scribble()
 	sc.blocks.Scribble()
 	inflate := sc.inflate[:cap(sc.inflate)]

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"drizzle/internal/core"
+	"drizzle/internal/dag"
 	"drizzle/internal/data"
 	"drizzle/internal/shuffle"
+	"drizzle/internal/workload"
 )
 
 // TestPoisonSwitchIsLive proves that a -tags poisonscratch run tests what it
@@ -45,6 +48,37 @@ func TestPoisonSwitchIsLive(t *testing.T) {
 	for i, b := range sc.inflate[:cap(sc.inflate)] {
 		if b != 0xDB {
 			t.Fatalf("inflate[%d] = %#x after release", i, b)
+		}
+	}
+
+	// The source side: an op that keeps a heartbeat past its task — the
+	// record and the payload the source rendered into the slot's scratch —
+	// reads poison once the task has ended.
+	v := workload.NewVideo(workload.VideoConfig{Sessions: 16, EventsPerSecPerPartition: 1_000_000, ZipfS: 1.2, WindowSize: time.Second, Seed: 3})
+	parse := v.ParseOp()
+	var keptRecs []data.Record
+	var payload []byte
+	job = shuffleJob(v.SourceFunc(), 1, 1, false)
+	job.Stages[0].Ops = []dag.NarrowOp{func(in []data.Record) []data.Record {
+		keptRecs, payload = in, in[len(in)-1].Payload
+		return parse(in)
+	}}
+	w, sc = bareWorker(t, job)
+	if _, err := w.execute(core.RunnableTask{Desc: core.TaskDescriptor{Job: job.Name, ID: core.TaskID{Stage: 0}}}, sc, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(payload) == 0 || payload[0] != '{' {
+		t.Fatalf("the op saw payload %q, want a heartbeat", payload)
+	}
+	sc.release()
+	for i, b := range payload {
+		if b != 0xDB {
+			t.Fatalf("byte %d of a payload kept past its task reads %#x", i, b)
+		}
+	}
+	for _, r := range keptRecs {
+		if p := data.PoisonedRecord; r.Key != p.Key || r.Val != p.Val || r.Time != p.Time || r.Payload != nil {
+			t.Fatalf("a source record kept past its task still reads %+v", r)
 		}
 	}
 }

@@ -446,6 +446,9 @@ func (w *Worker) slotLoop() {
 // (Build with -tags poisonscratch and release scribbles over all of it, which
 // turns a violation into a test failure.)
 type slotScratch struct {
+	// Source side: the records and payload arena a source task renders its
+	// batch into. Every draw starts from empty, so release leaves it be.
+	source data.SourceScratch
 	// Map side: the partition permutation of the task's output, and the
 	// writer holding the encode/compress buffers and the combine table.
 	index  data.PartitionIndex
@@ -622,6 +625,7 @@ func (w *Worker) execute(rt core.RunnableTask, sc *slotScratch, tr *trace.Tracer
 			Partition: id.Partition,
 			Start:     ji.closeNanos(id.Batch - 1),
 			End:       ji.closeNanos(id.Batch),
+			Scratch:   &sc.source,
 		})
 	} else {
 		// task.fetch covers dependency gathering — local reads plus the

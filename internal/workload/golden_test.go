@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"drizzle/internal/dag"
 	"drizzle/internal/data"
 )
 
@@ -20,10 +21,12 @@ import (
 const epoch = int64(1_700_000_000) * int64(time.Second)
 
 // goldenSlice is one fixed (generator, partition, from, to) slice of a
-// workload's event stream.
+// workload's event stream: gen calls Gen, source the engine's SourceFunc on
+// the scratch given.
 type goldenSlice struct {
-	name string
-	gen  func() []data.Record
+	name   string
+	gen    func() []data.Record
+	source func(*data.SourceScratch) []data.Record
 }
 
 // goldenSlices are the slices behind testdata/golden_gen.txt: both
@@ -41,12 +44,21 @@ func goldenSlices() []goldenSlice {
 		Sessions: 50_000, EventsPerSecPerPartition: 50_000, ZipfS: 1.2,
 		WindowSize: 300 * time.Millisecond, Seed: 101,
 	})
+	slice := func(name string, src dag.SourceFunc, gen func(int, int64, int64) []data.Record, partition int, from, to int64) goldenSlice {
+		return goldenSlice{
+			name: name,
+			gen:  func() []data.Record { return gen(partition, from, to) },
+			source: func(sc *data.SourceScratch) []data.Record {
+				return src(dag.BatchInfo{Partition: partition, Start: from, End: to, Scratch: sc})
+			},
+		}
+	}
 	return []goldenSlice{
-		{"yahoo-default/p0/t0", func() []data.Record { return yDefault.Gen(0, 0, 50*ms) }},
-		{"yahoo-default/p3/epoch", func() []data.Record { return yDefault.Gen(3, epoch, epoch+100*ms) }},
-		{"yahoo-bench/p2/epoch", func() []data.Record { return yBench.Gen(2, epoch+100*ms, epoch+120*ms) }},
-		{"video-default/p0/t0", func() []data.Record { return vDefault.Gen(0, 0, 100*ms) }},
-		{"video-bench/p1/epoch", func() []data.Record { return vBench.Gen(1, epoch, epoch+50*ms) }},
+		slice("yahoo-default/p0/t0", yDefault.SourceFunc(), yDefault.Gen, 0, 0, 50*ms),
+		slice("yahoo-default/p3/epoch", yDefault.SourceFunc(), yDefault.Gen, 3, epoch, epoch+100*ms),
+		slice("yahoo-bench/p2/epoch", yBench.SourceFunc(), yBench.Gen, 2, epoch+100*ms, epoch+120*ms),
+		slice("video-default/p0/t0", vDefault.SourceFunc(), vDefault.Gen, 0, 0, 100*ms),
+		slice("video-bench/p1/epoch", vBench.SourceFunc(), vBench.Gen, 1, epoch, epoch+50*ms),
 	}
 }
 
@@ -134,6 +146,17 @@ func TestGenBytesMatchGolden(t *testing.T) {
 			}
 		}
 	}
+	// The engine's path: every slice rendered through SourceFunc into one
+	// scratch, as one executor slot runs its tasks. In list order the
+	// batches grow, shrink (yahoo-bench → video-default) and grow past every
+	// earlier size (video-bench's arena); the second pass reuses the scratch
+	// at its full size. Whatever a larger batch left behind must not show.
+	var scratch data.SourceScratch
+	for pass := 0; pass < 2; pass++ {
+		for _, s := range slices {
+			check(s.name, genDigest(s.source(&scratch)))
+		}
+	}
 	cfg := DefaultYahooConfig()
 	cfg.WindowSize = 100 * time.Millisecond
 	views := NewYahoo(cfg).ExpectedViewCounts(3, epoch, epoch+int64(300*time.Millisecond))
@@ -145,23 +168,27 @@ func TestGenBytesMatchGolden(t *testing.T) {
 
 // TestPayloadAppendLeavesNeighbourIntact: payloads of one batch share a
 // backing array, so each must be capped at its own length — an op that
-// appends to one gets a copy instead of writing over the next event.
+// appends to one gets a copy instead of writing over the next event. That
+// holds for Gen's own arena and for one lent by the engine, where the
+// buffer's spare capacity lies behind the last payload.
 func TestPayloadAppendLeavesNeighbourIntact(t *testing.T) {
+	var sc data.SourceScratch
 	for _, s := range goldenSlices() {
-		recs := s.gen()
-		want := make([][]byte, len(recs))
-		for i, r := range recs {
-			if cap(r.Payload) != len(r.Payload) {
-				t.Fatalf("%s: event %d has len %d cap %d", s.name, i, len(r.Payload), cap(r.Payload))
+		for path, recs := range map[string][]data.Record{"Gen": s.gen(), "SourceFunc": s.source(&sc)} {
+			want := make([][]byte, len(recs))
+			for i, r := range recs {
+				if cap(r.Payload) != len(r.Payload) {
+					t.Fatalf("%s via %s: event %d has len %d cap %d", s.name, path, i, len(r.Payload), cap(r.Payload))
+				}
+				want[i] = append([]byte(nil), r.Payload...)
 			}
-			want[i] = append([]byte(nil), r.Payload...)
-		}
-		for i := range recs {
-			_ = append(recs[i].Payload, "XXXXXXXXXXXXXXXX"...)
-		}
-		for i, r := range recs {
-			if !bytes.Equal(r.Payload, want[i]) {
-				t.Fatalf("%s: event %d changed after appends to other payloads", s.name, i)
+			for i := range recs {
+				_ = append(recs[i].Payload, "XXXXXXXXXXXXXXXX"...)
+			}
+			for i, r := range recs {
+				if !bytes.Equal(r.Payload, want[i]) {
+					t.Fatalf("%s via %s: event %d changed after appends to other payloads", s.name, path, i)
+				}
 			}
 		}
 	}

@@ -23,11 +23,12 @@ type SumConfig struct {
 
 // SumSourceFunc returns a source that emits a single record per partition
 // whose Val is the sum of NumbersPerTask pseudo-random numbers — the
-// compute happens inside the source task, as in the paper's benchmark.
+// compute happens inside the source task, as in the paper's benchmark. The
+// record is drawn from the task's scratch, like every source's.
 func SumSourceFunc(cfg SumConfig) dag.SourceFunc {
 	return func(b dag.BatchInfo) []data.Record {
 		sum := SumRandom(cfg.NumbersPerTask, cfg.Seed^uint64(b.Batch)^uint64(b.Partition)<<32)
-		return []data.Record{{Key: uint64(b.Partition), Val: sum, Time: b.Start}}
+		return append(b.Scratch.Records(1), data.Record{Key: uint64(b.Partition), Val: sum, Time: b.Start})
 	}
 }
 

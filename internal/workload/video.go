@@ -105,16 +105,30 @@ func (v *Video) WindowSize() time.Duration { return v.cfg.WindowSize }
 var heartbeatEvents = [4]string{"play", "buffer", "bitrate_change", "pause"}
 
 // Gen produces heartbeat documents for one partition in [from, to). As in
-// Yahoo.Gen, the payloads of one call share one arena that dies with the
-// returned records, each capped at its own length.
+// Yahoo.Gen, the payloads of one call share one arena, each capped at its own
+// length, and the caller owns records and arena for as long as it likes.
 func (v *Video) Gen(partition int, from, to int64) []data.Record {
+	return v.gen(partition, from, to, nil)
+}
+
+// SourceFunc is Gen for the micro-batch engine: records and payloads are
+// drawn from the task's scratch and valid until the task returns.
+func (v *Video) SourceFunc() dag.SourceFunc {
+	return func(b dag.BatchInfo) []data.Record {
+		return v.gen(b.Partition, b.Start, b.End, b.Scratch)
+	}
+}
+
+// gen renders the heartbeats of [from, to) into memory drawn from sc (nil
+// allocates).
+func (v *Video) gen(partition int, from, to int64, sc *data.SourceScratch) []data.Record {
 	if to <= from {
 		return nil
 	}
 	span := to - from
 	n := int(int64(v.cfg.EventsPerSecPerPartition) * span / int64(time.Second))
-	recs := make([]data.Record, n)
-	arena := make([]byte, 0, n*v.heartbeatMax)
+	recs := sc.Records(n)[:n]
+	arena := sc.Bytes(n * v.heartbeatMax)
 	for i := range recs {
 		at := from + int64(i)*span/int64(n)
 		h := mix(uint64(at) ^ mix(uint64(partition)*31+v.cfg.Seed))
@@ -126,13 +140,6 @@ func (v *Video) Gen(partition int, from, to int64) []data.Record {
 		recs[i] = data.Record{Time: at, Payload: arena[s:len(arena):len(arena)]}
 	}
 	return recs
-}
-
-// SourceFunc adapts Gen to the micro-batch engine.
-func (v *Video) SourceFunc() dag.SourceFunc {
-	return func(b dag.BatchInfo) []data.Record {
-		return v.Gen(b.Partition, b.Start, b.End)
-	}
 }
 
 func (v *Video) appendHeartbeat(dst []byte, session int, event string, bitrate uint64, at int64) []byte {

@@ -118,18 +118,32 @@ func mix(x uint64) uint64 {
 // [from, to) — the continuous-engine GenFunc shape. Each record's Payload
 // is the JSON document; Key/Val are unset until parsing.
 //
-// Every payload of one call is a slice of one arena allocated by that call,
-// capped at its own length so that an append copies instead of writing over
-// the next event. Nothing keeps the arena beyond the returned records: it is
-// garbage when they are.
+// Every payload is a slice of one arena, capped at its own length so that an
+// append copies instead of writing over the next event. Gen allocates the
+// records and the arena and keeps neither: the caller owns them for as long
+// as it likes. SourceFunc renders the same bytes into the task's scratch.
 func (y *Yahoo) Gen(partition int, from, to int64) []data.Record {
+	return y.gen(partition, from, to, nil)
+}
+
+// SourceFunc is Gen for the micro-batch engine: records and payloads are
+// drawn from the task's scratch and valid until the task returns.
+func (y *Yahoo) SourceFunc() dag.SourceFunc {
+	return func(b dag.BatchInfo) []data.Record {
+		return y.gen(b.Partition, b.Start, b.End, b.Scratch)
+	}
+}
+
+// gen renders the events of [from, to) into memory drawn from sc (nil
+// allocates).
+func (y *Yahoo) gen(partition int, from, to int64, sc *data.SourceScratch) []data.Record {
 	if to <= from {
 		return nil
 	}
 	span := to - from
 	n := int(int64(y.cfg.EventsPerSecPerPartition) * span / int64(time.Second))
-	recs := make([]data.Record, n)
-	arena := make([]byte, 0, n*y.eventMax)
+	recs := sc.Records(n)[:n]
+	arena := sc.Bytes(n * y.eventMax)
 	for i := range recs {
 		at := from + int64(i)*span/int64(n)
 		h := mix(uint64(at) ^ mix(uint64(partition)+y.cfg.Seed))
@@ -140,13 +154,6 @@ func (y *Yahoo) Gen(partition int, from, to int64) []data.Record {
 		recs[i] = data.Record{Time: at, Payload: arena[s:len(arena):len(arena)]}
 	}
 	return recs
-}
-
-// SourceFunc adapts Gen to the micro-batch engine.
-func (y *Yahoo) SourceFunc() dag.SourceFunc {
-	return func(b dag.BatchInfo) []data.Record {
-		return y.Gen(b.Partition, b.Start, b.End)
-	}
 }
 
 // appendEvent renders the benchmark's JSON document onto dst. Hand-rolled to
