@@ -31,9 +31,14 @@ type goldenSlice struct {
 
 // goldenSlices are the slices behind testdata/golden_gen.txt: both
 // generators, at their default shape and at the repo benchmark's, at small
-// and at realistic event times.
+// and at realistic event times; then the edges of the renderer's event-time
+// and step arithmetic — a batch crossing a second, one crossing 10⁹ s (the
+// seconds prefix grows from 9 to 10 digits), times below 10⁹ ns and below
+// zero, a rate whose per-event step has a remainder, and a span too short
+// for one event.
 func goldenSlices() []goldenSlice {
 	ms := int64(time.Millisecond)
+	sec := int64(time.Second)
 	yDefault := NewYahoo(DefaultYahooConfig())
 	yBench := NewYahoo(YahooConfig{
 		Campaigns: 100, AdsPerCampaign: 10, EventsPerSecPerPartition: 200_000,
@@ -44,6 +49,15 @@ func goldenSlices() []goldenSlice {
 		Sessions: 50_000, EventsPerSecPerPartition: 50_000, ZipfS: 1.2,
 		WindowSize: 300 * time.Millisecond, Seed: 101,
 	})
+	yOdd := NewYahoo(YahooConfig{
+		Campaigns: 7, AdsPerCampaign: 3, EventsPerSecPerPartition: 3_001,
+		WindowSize: time.Second, Seed: 3,
+	})
+	vOdd := NewVideo(VideoConfig{
+		Sessions: 3, EventsPerSecPerPartition: 3_001, ZipfS: 1.5,
+		WindowSize: time.Second, Seed: 3,
+	})
+	giga := int64(1_000_000_000) * sec // 10⁹ s, the first 10-digit second
 	slice := func(name string, src dag.SourceFunc, gen func(int, int64, int64) []data.Record, partition int, from, to int64) goldenSlice {
 		return goldenSlice{
 			name: name,
@@ -59,6 +73,21 @@ func goldenSlices() []goldenSlice {
 		slice("yahoo-bench/p2/epoch", yBench.SourceFunc(), yBench.Gen, 2, epoch+100*ms, epoch+120*ms),
 		slice("video-default/p0/t0", vDefault.SourceFunc(), vDefault.Gen, 0, 0, 100*ms),
 		slice("video-bench/p1/epoch", vBench.SourceFunc(), vBench.Gen, 1, epoch, epoch+50*ms),
+
+		slice("yahoo-default/p1/second-cross", yDefault.SourceFunc(), yDefault.Gen, 1, epoch+950*ms, epoch+1050*ms),
+		slice("video-bench/p2/second-cross", vBench.SourceFunc(), vBench.Gen, 2, epoch+980*ms, epoch+1020*ms),
+		slice("yahoo-bench/p0/giga-cross", yBench.SourceFunc(), yBench.Gen, 0, giga-5*ms, giga+5*ms),
+		slice("video-default/p3/giga-cross", vDefault.SourceFunc(), vDefault.Gen, 3, giga-50*ms, giga+50*ms),
+		slice("yahoo-default/p0/nano-cross", yDefault.SourceFunc(), yDefault.Gen, 0, sec-30*ms, sec+30*ms),
+		slice("video-bench/p0/nano-cross", vBench.SourceFunc(), vBench.Gen, 0, sec-10*ms, sec+10*ms),
+		slice("yahoo-default/p2/zero-cross", yDefault.SourceFunc(), yDefault.Gen, 2, -30*ms, 30*ms),
+		slice("video-default/p1/zero-cross", vDefault.SourceFunc(), vDefault.Gen, 1, -50*ms, 50*ms),
+		slice("yahoo-default/p1/negative", yDefault.SourceFunc(), yDefault.Gen, 1, -epoch-20*ms, -epoch+20*ms),
+		slice("video-bench/p3/negative", vBench.SourceFunc(), vBench.Gen, 3, -sec-10*ms, -sec+10*ms),
+		slice("yahoo-3001/p0/remainder", yOdd.SourceFunc(), yOdd.Gen, 0, epoch, epoch+70*ms),
+		slice("video-3001/p1/remainder", vOdd.SourceFunc(), vOdd.Gen, 1, epoch+970*ms, epoch+1040*ms),
+		slice("yahoo-default/p0/empty", yDefault.SourceFunc(), yDefault.Gen, 0, epoch, epoch+50*int64(time.Microsecond)),
+		slice("video-default/p2/empty", vDefault.SourceFunc(), vDefault.Gen, 2, epoch, epoch+100*int64(time.Microsecond)),
 	}
 }
 
