@@ -9,6 +9,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,37 +130,18 @@ func viewCountsDigest(counts map[[2]int64]int64) string {
 	return fmt.Sprintf("%d %016x", len(keys), h.Sum64())
 }
 
-// TestGenBytesMatchGolden pins the event streams byte for byte. The digests
-// in testdata/golden_gen.txt were written by commit 4f13ebc, the last one
-// that rendered every event into a buffer of its own: recovery replays a
-// lost batch by calling Gen again, and the repo benchmark's reference
-// recomputes windows from it, so an optimisation of the generator may not
-// move one byte of its output.
+// TestGenBytesMatchGolden pins the event streams byte for byte. The first
+// digests in testdata/golden_gen.txt were written by commit 4f13ebc, the last
+// one that rendered every event into a buffer of its own, and the edge slices
+// by ef1d83c, the last one that rendered digits with strconv: recovery
+// replays a lost batch by calling Gen again, and the repo benchmark's
+// reference recomputes windows from it, so an optimisation of the generator
+// may not move one byte of its output.
 func TestGenBytesMatchGolden(t *testing.T) {
-	f, err := os.Open("testdata/golden_gen.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	golden := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if name, digest, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
-			golden[name] = digest
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-
+	golden := readGolden(t)
 	check := func(name, got string) {
 		t.Helper()
-		if want, ok := golden[name]; !ok {
-			t.Errorf("no golden vector: %s %s", name, got)
-		} else if got != want {
-			t.Errorf("%s: stream is %s, golden %s", name, got, want)
-		}
+		checkGolden(t, golden, name, got)
 	}
 	slices := goldenSlices()
 	for _, s := range slices {
@@ -177,9 +159,10 @@ func TestGenBytesMatchGolden(t *testing.T) {
 	}
 	// The engine's path: every slice rendered through SourceFunc into one
 	// scratch, as one executor slot runs its tasks. In list order the
-	// batches grow, shrink (yahoo-bench → video-default) and grow past every
-	// earlier size (video-bench's arena); the second pass reuses the scratch
-	// at its full size. Whatever a larger batch left behind must not show.
+	// batches grow, shrink (yahoo-bench → video-default), grow past every
+	// earlier size (video-bench's arena) and shrink to nothing (the empty
+	// spans); the second pass reuses the scratch at its full size. Whatever
+	// a larger batch left behind must not show.
 	var scratch data.SourceScratch
 	for pass := 0; pass < 2; pass++ {
 		for _, s := range slices {
@@ -192,6 +175,70 @@ func TestGenBytesMatchGolden(t *testing.T) {
 	check("yahoo-default/expected-views", viewCountsDigest(views))
 	if len(golden) != len(slices)+1 {
 		t.Errorf("checked %d digests against %d golden vectors", len(slices)+1, len(golden))
+	}
+}
+
+// TestSourceSharedAcrossSlots: a job builds one generator, and every slot of
+// every in-process worker renders through it at once, each into its own
+// scratch. Whatever a render caches must live on its own stack — under
+// -race, a cache on the generator fails here.
+func TestSourceSharedAcrossSlots(t *testing.T) {
+	golden := readGolden(t)
+	slices := goldenSlices()
+	const slots = 4
+	got := make([][]string, slots)
+	var wg sync.WaitGroup
+	for slot := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch data.SourceScratch
+			for pass := 0; pass < 2; pass++ {
+				for _, s := range slices {
+					got[slot] = append(got[slot], genDigest(s.source(&scratch)))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for slot, digests := range got {
+		for i, d := range digests {
+			if name := slices[i%len(slices)].name; d != golden[name] {
+				t.Errorf("slot %d: %s: stream is %s, golden %s", slot, name, d, golden[name])
+			}
+		}
+	}
+}
+
+// readGolden loads testdata/golden_gen.txt as name → digest.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open("testdata/golden_gen.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	golden := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if name, digest, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			golden[name] = digest
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
+// checkGolden fails t unless golden holds got under name.
+func checkGolden(t *testing.T, golden map[string]string, name, got string) {
+	t.Helper()
+	if want, ok := golden[name]; !ok {
+		t.Errorf("no golden vector: %s %s", name, got)
+	} else if got != want {
+		t.Errorf("%s: stream is %s, golden %s", name, got, want)
 	}
 }
 

@@ -148,3 +148,56 @@ func refIndexOf(b []byte, sub string) int {
 	}
 	return -1
 }
+
+// The renderers and the session sampler the generators shipped with before
+// render.go's digit tables and the bucketed search, kept unchanged as oracles
+// for TestRendererMatchesReference and TestSessionSamplerMatchesBinarySearch.
+
+func refAppendEvent(dst []byte, h uint64, ad, etype string, at int64) []byte {
+	dst = append(dst, `{"user_id":"user-`...)
+	dst = strconv.AppendUint(dst, h%100000, 10)
+	dst = append(dst, `","page_id":"page-`...)
+	dst = strconv.AppendUint(dst, (h>>16)%1000, 10)
+	dst = append(dst, `","ad_id":"`...)
+	dst = append(dst, ad...)
+	dst = append(dst, `","ad_type":"banner","event_type":"`...)
+	dst = append(dst, etype...)
+	dst = append(dst, `","event_time":`...)
+	dst = strconv.AppendInt(dst, at, 10)
+	dst = append(dst, `,"ip_address":"10.`...)
+	dst = strconv.AppendUint(dst, (h>>40)&255, 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, (h>>48)&255, 10)
+	dst = append(dst, `.1"}`...)
+	return dst
+}
+
+func (v *Video) refAppendHeartbeat(dst []byte, session int, event string, bitrate uint64, at int64) []byte {
+	dst = append(dst, `{"session_id":"session-`...)
+	dst = strconv.AppendInt(dst, int64(session), 10)
+	dst = append(dst, `","event":"`...)
+	dst = append(dst, event...)
+	dst = append(dst, `","bitrate_kbps":`...)
+	dst = strconv.AppendUint(dst, bitrate, 10)
+	dst = append(dst, `,"ts":`...)
+	dst = strconv.AppendInt(dst, at, 10)
+	dst = append(dst, ',')
+	dst = append(dst, v.padding...)
+	dst = append(dst, '}')
+	return dst
+}
+
+// refSampleSession maps a uniform 32-bit draw to a session index via the CDF.
+func (v *Video) refSampleSession(u uint64) int {
+	u &= (1 << 32) - 1
+	lo, hi := 0, len(v.cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if v.cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}

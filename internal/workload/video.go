@@ -41,9 +41,13 @@ func DefaultVideoConfig() VideoConfig {
 
 // Video is an instance of the workload with a precomputed Zipf CDF.
 type Video struct {
-	cfg          VideoConfig
-	keys         []uint64 // session key hashes
-	cdf          []uint64 // scaled cumulative distribution over sessions
+	cfg  VideoConfig
+	keys []uint64 // session key hashes
+	cdf  []uint64 // scaled cumulative distribution over sessions
+	// guide[b] is the first session whose cdf value reaches b<<16, for b =
+	// 0 … 1<<16: a draw in [b<<16, (b+1)<<16) lands in guide[b] …
+	// guide[b+1].
+	guide        []uint32
 	dict         *data.Dictionary
 	padding      string
 	heartbeatMax int // upper bound on the length of one rendered heartbeat
@@ -51,8 +55,8 @@ type Video struct {
 
 // NewVideo precomputes session keys and the Zipf sampling table.
 func NewVideo(cfg VideoConfig) *Video {
-	if cfg.Sessions <= 0 {
-		panic("workload: video needs positive session count")
+	if cfg.Sessions <= 0 || uint64(cfg.Sessions) > math.MaxUint32 {
+		panic("workload: video needs a positive session count below 1<<32")
 	}
 	v := &Video{cfg: cfg, dict: data.NewDictionary()}
 	weights := make([]float64, cfg.Sessions)
@@ -71,6 +75,16 @@ func NewVideo(cfg VideoConfig) *Video {
 		v.cdf[i] = uint64(acc / total * float64(1<<32))
 	}
 	v.cdf[cfg.Sessions-1] = 1 << 32 // guard against rounding
+	// One pass over buckets and CDF together; the last bucket edge is 1<<32,
+	// which cdf[Sessions-1] reaches.
+	v.guide = make([]uint32, 1<<16+1)
+	s := 0
+	for b := range v.guide {
+		for v.cdf[s] < uint64(b)<<16 {
+			s++
+		}
+		v.guide[b] = uint32(s)
+	}
 	// Heartbeats carry client metadata; pad the document so records are
 	// several times larger than ad events, as in the paper's comparison.
 	v.padding = `"player":"html5-v3.2.1","cdn":"edge-cache-west-2a","os":"android-14","app_version":"tv-9.4.133","device":"smarttv-2021-qled","network":"wifi-5ghz","drm":"widevine-l1","buffer_ratio":0.0132,"dropped_frames":3,"bandwidth_est_kbps":18250,"geo":"us-west-2"`
@@ -81,10 +95,12 @@ func NewVideo(cfg VideoConfig) *Video {
 	return v
 }
 
-// sampleSession maps a uniform 32-bit draw to a session index via the CDF.
+// sampleSession maps the low 32 bits of a draw to a session index: the first
+// whose CDF value reaches them. The guide narrows the binary search to the
+// draw's bucket of 1<<16 values.
 func (v *Video) sampleSession(u uint64) int {
 	u &= (1 << 32) - 1
-	lo, hi := 0, len(v.cdf)-1
+	lo, hi := int(v.guide[u>>16]), int(v.guide[u>>16+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if v.cdf[mid] < u {
@@ -128,29 +144,40 @@ func (v *Video) gen(partition int, from, to int64, sc *data.SourceScratch) []dat
 	span := to - from
 	n := int(int64(v.cfg.EventsPerSecPerPartition) * span / int64(time.Second))
 	recs := sc.Records(n)[:n]
+	if n == 0 {
+		return recs
+	}
 	arena := sc.Bytes(n * v.heartbeatMax)
+	salt := mix(uint64(partition)*31 + v.cfg.Seed)
+	ticks := newEventTicks(from, span, n)
+	var clock eventClock
 	for i := range recs {
-		at := from + int64(i)*span/int64(n)
-		h := mix(uint64(at) ^ mix(uint64(partition)*31+v.cfg.Seed))
+		at := ticks.at
+		ticks.next()
+		h := mix(uint64(at) ^ salt)
 		sess := v.sampleSession(h)
 		ev := heartbeatEvents[(h>>33)%4]
 		bitrate := 400 + (h>>35)%4000
 		s := len(arena)
-		arena = v.appendHeartbeat(arena, sess, ev, bitrate, at)
+		arena = v.appendHeartbeat(arena, &clock, sess, ev, bitrate, at)
 		recs[i] = data.Record{Time: at, Payload: arena[s:len(arena):len(arena)]}
 	}
 	return recs
 }
 
-func (v *Video) appendHeartbeat(dst []byte, session int, event string, bitrate uint64, at int64) []byte {
-	dst = append(dst, `{"session_id":"session-`...)
-	dst = strconv.AppendInt(dst, int64(session), 10)
+// appendHeartbeat renders one heartbeat onto dst: numbers through
+// render.go's digit tables, literal text in pieces of at most 16 bytes.
+func (v *Video) appendHeartbeat(dst []byte, clock *eventClock, session int, event string, bitrate uint64, at int64) []byte {
+	dst = append(dst, `{"session_id":"`...)
+	dst = append(dst, `session-`...)
+	dst = appendUint(dst, uint64(session))
 	dst = append(dst, `","event":"`...)
 	dst = append(dst, event...)
-	dst = append(dst, `","bitrate_kbps":`...)
-	dst = strconv.AppendUint(dst, bitrate, 10)
+	dst = append(dst, `","bitrate_kbps`...)
+	dst = append(dst, `":`...)
+	dst = appendSmall(dst, uint32(bitrate))
 	dst = append(dst, `,"ts":`...)
-	dst = strconv.AppendInt(dst, at, 10)
+	dst = clock.appendTime(dst, at)
 	dst = append(dst, ',')
 	dst = append(dst, v.padding...)
 	dst = append(dst, '}')

@@ -19,7 +19,6 @@ package workload
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"drizzle/internal/dag"
@@ -143,14 +142,21 @@ func (y *Yahoo) gen(partition int, from, to int64, sc *data.SourceScratch) []dat
 	span := to - from
 	n := int(int64(y.cfg.EventsPerSecPerPartition) * span / int64(time.Second))
 	recs := sc.Records(n)[:n]
+	if n == 0 {
+		return recs
+	}
 	arena := sc.Bytes(n * y.eventMax)
+	salt := mix(uint64(partition) + y.cfg.Seed)
+	ticks := newEventTicks(from, span, n)
+	var clock eventClock
 	for i := range recs {
-		at := from + int64(i)*span/int64(n)
-		h := mix(uint64(at) ^ mix(uint64(partition)+y.cfg.Seed))
+		at := ticks.at
+		ticks.next()
+		h := mix(uint64(at) ^ salt)
 		ad := y.adIDs[h%uint64(len(y.adIDs))]
 		etype := eventTypes[(h>>32)%3]
 		s := len(arena)
-		arena = appendEvent(arena, h, ad, etype, at)
+		arena = appendEvent(arena, &clock, h, ad, etype, at)
 		recs[i] = data.Record{Time: at, Payload: arena[s:len(arena):len(arena)]}
 	}
 	return recs
@@ -158,22 +164,29 @@ func (y *Yahoo) gen(partition int, from, to int64, sc *data.SourceScratch) []dat
 
 // appendEvent renders the benchmark's JSON document onto dst. Hand-rolled to
 // keep generation cheap relative to parsing (generation is the harness,
-// parsing is the system under test).
-func appendEvent(dst []byte, h uint64, ad, etype string, at int64) []byte {
-	dst = append(dst, `{"user_id":"user-`...)
-	dst = strconv.AppendUint(dst, h%100000, 10)
-	dst = append(dst, `","page_id":"page-`...)
-	dst = strconv.AppendUint(dst, (h>>16)%1000, 10)
+// parsing is the system under test): every number goes through render.go's
+// digit tables, and literal text is appended in pieces of at most 16 bytes,
+// which the compiler copies inline.
+func appendEvent(dst []byte, clock *eventClock, h uint64, ad, etype string, at int64) []byte {
+	dst = append(dst, `{"user_id":`...)
+	dst = append(dst, `"user-`...)
+	dst = appendUint(dst, h%100000)
+	dst = append(dst, `","page_id":`...)
+	dst = append(dst, `"page-`...)
+	dst = appendSmall(dst, uint32((h>>16)%1000))
 	dst = append(dst, `","ad_id":"`...)
 	dst = append(dst, ad...)
-	dst = append(dst, `","ad_type":"banner","event_type":"`...)
+	dst = append(dst, `","ad_type":"ban`...)
+	dst = append(dst, `ner","event_type`...)
+	dst = append(dst, `":"`...)
 	dst = append(dst, etype...)
 	dst = append(dst, `","event_time":`...)
-	dst = strconv.AppendInt(dst, at, 10)
-	dst = append(dst, `,"ip_address":"10.`...)
-	dst = strconv.AppendUint(dst, (h>>40)&255, 10)
+	dst = clock.appendTime(dst, at)
+	dst = append(dst, `,"ip_address":`...)
+	dst = append(dst, `"10.`...)
+	dst = appendSmall(dst, uint32((h>>40)&255))
 	dst = append(dst, '.')
-	dst = strconv.AppendUint(dst, (h>>48)&255, 10)
+	dst = appendSmall(dst, uint32((h>>48)&255))
 	dst = append(dst, `.1"}`...)
 	return dst
 }
