@@ -11,10 +11,10 @@ import "strconv"
 // Two habits keep the renderers near copy speed, both measured: a field's
 // digits are stored as a fixed-size group and the slice then cut to the
 // width of the number, so no branch depends on the width (the bytes past the
-// cut lie in the arena's spare capacity, where the next append writes over
-// them); and the renderers append literal text in pieces of at most 16 bytes,
-// which the compiler copies with inline moves — a longer piece costs a call
-// to memmove.
+// cut lie in dst's spare capacity, where the next append writes over them);
+// and the renderers append literal text in pieces of at most 16 bytes, which
+// the compiler copies with inline moves — a longer piece costs a call to
+// memmove.
 
 // digitPairs holds "00" to "99": the digits of x < 100 are
 // digitPairs[2x:2x+2].
