@@ -314,6 +314,54 @@ func TestScannerMatchesReference(t *testing.T) {
 	}
 }
 
+// viewFilterCases are hand-written documents at the edges of the filter in
+// front of the view walker: viewNeedle where no view is, and views that are
+// not viewType byte for byte. The checked-in fuzz corpus holds the same
+// documents.
+var viewFilterCases = []struct{ name, doc string }{
+	{"needle inside another value", `{"user_id":"u-1","page_id":"preview","ad_id":"ad-1","event_type":"click","event_time":5}`},
+	{"needle inside a key", `{"preview":"x","ad_id":"ad-1","event_type":"purchase","event_time":5}`},
+	{"needle inside another value of a view", `{"page_id":"preview","ad_id":"ad-1","event_type":"view","event_time":5}`},
+	{"escaped view", `{"ad_id":"ad-1","event_type":"vi\u0065w","event_time":5}`},
+	{"escaped quote inside view", `{"ad_id":"ad-1","event_type":"vie\"w","event_time":5}`},
+	{"event_type repeats", `{"ad_id":"ad-1","event_type":"view","event_type":"view","event_time":5}`},
+	{"view is the last member", `{"ad_id":"ad-1","event_time":5,"event_type":"view"}`},
+}
+
+// TestViewFilterKeepsWalkerVerdict: the byte search in front of the walker
+// only ever rejects what the walker would reject, so parseViewEvent and
+// walkViewEvent agree on every document — generated events of both
+// workloads, every variant of each, and the hand-written edges above.
+func TestViewFilterKeepsWalkerVerdict(t *testing.T) {
+	docs, filtered := 0, 0
+	check := func(name string, doc []byte) {
+		docs++
+		if !bytes.Contains(doc, viewNeedle) {
+			filtered++
+		}
+		ad, at, kept := parseViewEvent(doc)
+		wad, wat, wkept := walkViewEvent(doc)
+		if kept != wkept || !bytes.Equal(ad, wad) || at != wat {
+			t.Fatalf("%s: %q\n\tfiltered (%q, %d, %v), walked (%q, %d, %v)", name, doc, ad, at, kept, wad, wat, wkept)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	y := NewYahoo(DefaultYahooConfig())
+	v := NewVideo(DefaultVideoConfig())
+	for _, ev := range append(y.Gen(2, epoch, epoch+int64(4e6)), v.Gen(2, epoch, epoch+int64(4e6))...) {
+		for _, doc := range variants(ev.Payload, rng) {
+			check("generated", doc)
+		}
+	}
+	for _, c := range viewFilterCases {
+		check(c.name, []byte(c.doc))
+	}
+	if filtered == 0 || filtered == docs {
+		t.Fatalf("the filter rejected %d of %d documents", filtered, docs)
+	}
+	t.Logf("%d documents, %d rejected by the filter", docs, filtered)
+}
+
 // fuzzSeeds are the in-code seeds both fuzz targets start from, besides the
 // checked-in corpus under testdata/fuzz: generated events of both workloads
 // and a few of the variants the differential test derives from them.
@@ -344,6 +392,9 @@ func FuzzParseViewEvent(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		got := scanView(doc)
+		if ad, at, kept := walkViewEvent(doc); kept != got.accepted || string(ad) != got.key || at != got.time {
+			t.Fatalf("%q\n\tfiltered %+v, walked (%q, %d, %v)", doc, got, ad, at, kept)
+		}
 		j := jsonVerdict(doc, "ad_id", "event_time", "event_type")
 		checkAgainstJSON(t, doc, got, j)
 		// Keeping an event that encoding/json reads as a click or a
