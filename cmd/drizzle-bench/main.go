@@ -23,7 +23,6 @@ import (
 	"drizzle/internal/bench"
 	"drizzle/internal/metrics"
 	"drizzle/internal/obs"
-	"drizzle/internal/rpc"
 	"drizzle/internal/trace"
 )
 
@@ -34,12 +33,6 @@ var (
 	obsRegistry *metrics.Registry
 	obsTracer   *trace.Tracer
 )
-
-// benchCodec, when -codec is set, makes the in-process network round-trip
-// every message through that wire codec so the streaming experiments include
-// real serialization cost. Nil (the default) passes messages by reference,
-// keeping results comparable with earlier runs.
-var benchCodec rpc.Codec
 
 type experiment struct {
 	name string
@@ -68,7 +61,6 @@ func yahooOpts(quick bool) bench.YahooOpts {
 	}
 	o.Stream.Metrics = obsRegistry
 	o.Stream.Tracer = obsTracer
-	o.Stream.Codec = benchCodec
 	return o
 }
 
@@ -156,18 +148,8 @@ func main() {
 		name    = flag.String("experiment", "all", "experiment to run (all, list, or one of the ids)")
 		quick   = flag.Bool("quick", false, "reduced-scale runs for a fast pass")
 		obsAddr = flag.String("obs-addr", "", "observability HTTP address (/metrics, /metricsz, /tracez, pprof); empty disables")
-		codec   = flag.String("codec", "", "round-trip in-process messages through this wire codec (binary or gob); empty passes by reference")
 	)
 	flag.Parse()
-
-	if *codec != "" {
-		c, err := rpc.CodecByName(*codec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -codec: %v\n", err)
-			os.Exit(1)
-		}
-		benchCodec = c
-	}
 
 	if *obsAddr != "" {
 		obsRegistry = metrics.NewRegistry()

@@ -55,7 +55,6 @@ func main() {
 		obsAddr  = flag.String("obs-addr", "", "observability HTTP address (/metrics, /metricsz, /tracez, pprof); empty disables")
 		traceOut = flag.String("trace-out", "", "write the run's spans as a Chrome trace (Perfetto-loadable) to this file on exit")
 		sample   = flag.Int("trace-sample", 1, "trace every Nth scheduling group (1 = all, 0 = none)")
-		codec    = flag.String("codec", rpc.DefaultCodec.Name(), "wire codec for outbound connections: binary or gob (receivers auto-detect, so a mixed cluster works)")
 		ckptDir  = flag.String("ckpt-dir", "", "durable state directory: WAL + incremental on-disk checkpoints; a driver restarted against the same directory resumes the interrupted run, re-learning its workers from the WAL and their re-registration (-worker flags become optional)")
 		workers  workerList
 	)
@@ -98,17 +97,11 @@ func main() {
 
 	tcpCfg := rpc.DefaultTCPConfig()
 	tcpCfg.Metrics = registry
-	wireCodec, err := rpc.CodecByName(*codec)
-	if err != nil {
-		log.Error("bad -codec", "err", err)
-		os.Exit(1)
-	}
-	tcpCfg.Codec = wireCodec
 	net := rpc.NewTCPNetworkWithConfig(tcpCfg)
 	defer net.Close()
 	net.SetListenAddr("driver", *listen)
 
-	var store checkpoint.Store
+	var store checkpoint.StateBackend
 	if *ckptDir != "" {
 		wal, err := engine.OpenDriverWAL(filepath.Join(*ckptDir, "wal"))
 		if err != nil {

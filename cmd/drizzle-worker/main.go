@@ -29,7 +29,6 @@ func main() {
 		heartbeat = flag.Duration("heartbeat", 200*time.Millisecond, "heartbeat interval (must be well under the driver's heartbeat timeout)")
 		slowdown  = flag.Float64("slowdown", 0, "multiply this worker's task service time (testing aid for straggler mitigation; <=1 runs at full speed)")
 		obsAddr   = flag.String("obs-addr", "", "observability HTTP address (/metrics, /metricsz, /tracez, pprof); empty disables")
-		codec     = flag.String("codec", rpc.DefaultCodec.Name(), "wire codec for outbound connections: binary or gob (receivers auto-detect, so a mixed cluster works)")
 	)
 	flag.Parse()
 
@@ -67,12 +66,6 @@ func main() {
 
 	tcpCfg := rpc.DefaultTCPConfig()
 	tcpCfg.Metrics = registry
-	wireCodec, err := rpc.CodecByName(*codec)
-	if err != nil {
-		log.Error("bad -codec", "err", err)
-		os.Exit(1)
-	}
-	tcpCfg.Codec = wireCodec
 	net := rpc.NewTCPNetworkWithConfig(tcpCfg)
 	defer net.Close()
 	net.SetListenAddr(rpc.NodeID(*id), *listen)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"drizzle"
+	"drizzle/internal/checkpoint"
 )
 
 func sampleSource(b drizzle.BatchInfo) []drizzle.Record {
@@ -183,6 +184,41 @@ func TestRunRegisteredTwice(t *testing.T) {
 	for k, v := range results {
 		if v%12 != 0 || v > 48 {
 			t.Fatalf("window %d key %d count = %d: stale state leaked between runs", k[0], k[1], v)
+		}
+	}
+}
+
+// TestLocalClusterCheckpointDir runs a pipeline against a CheckpointDir,
+// closes the cluster, and reopens the directory as the durable store it is:
+// every terminal partition of the job must have a snapshot there.
+func TestLocalClusterCheckpointDir(t *testing.T) {
+	dir := t.TempDir()
+	cfg := drizzle.DefaultConfig()
+	cfg.GroupSize = 4
+	cfg.CheckpointDir = dir
+	cluster, err := drizzle.NewLocalCluster(2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := drizzle.NewPipeline("ckptdir", 50*time.Millisecond)
+	p.Source(4, sampleSource).CountByKeyAndWindow(200*time.Millisecond, 3, drizzle.Combine).Sink(drizzle.NewCollectSink().Fn())
+	if _, err := cluster.Run(p, 12); err != nil {
+		cluster.Close()
+		t.Fatal(err)
+	}
+	cluster.Close()
+
+	store, err := checkpoint.OpenLogStore(dir, checkpoint.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	// The job is a source stage and one windowed reduce stage (stage 1)
+	// of three partitions; the reduce stage is the terminal one.
+	for part := 0; part < 3; part++ {
+		key := checkpoint.StateKey{Job: "ckptdir", Stage: 1, Partition: part}
+		if _, ok, err := store.Latest(key); err != nil || !ok {
+			t.Errorf("no snapshot for %+v in the reopened store (err %v)", key, err)
 		}
 	}
 }

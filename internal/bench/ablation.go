@@ -123,9 +123,7 @@ func TreeAggregationAblation(o YahooOpts) (*Report, error) {
 // either as a flat 2-stage shuffle (single reducer awaiting 16
 // notifications) or as a fan-in-4 reduction tree.
 func runAggregation(o YahooOpts, tree bool) (*StreamResult, error) {
-	imc := rpc.EC2LikeConfig()
-	imc.Codec = o.Stream.Codec
-	net := rpc.NewInMemNetwork(imc)
+	net := rpc.NewInMemNetwork(rpc.EC2LikeConfig())
 	defer net.Close()
 	reg := engine.NewRegistry()
 	cfg := engine.DefaultConfig()

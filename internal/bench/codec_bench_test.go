@@ -10,13 +10,13 @@ import (
 	"drizzle/internal/shuffle"
 )
 
-// Payload-shape benchmarks for the wire codecs: one encode + decode
+// Payload-shape benchmarks for the wire codec: one encode + decode
 // round-trip per op over the message shapes the cluster actually sends.
-// Shapes cover the three regimes the binary codec targets — tiny frequent
+// Shapes cover the three regimes the codec targets — tiny frequent
 // control messages, wide fan-out control messages (group scheduling's
 // LaunchTasks bundle), and bulk data-plane blocks (record batches, raw
 // compressible state). wire-B/op reports the encoded size, so the run shows
-// both CPU and bytes-on-the-wire per codec.
+// both CPU and bytes-on-the-wire per shape.
 
 func benchTaskStatus() any {
 	return core.TaskStatus{
@@ -114,28 +114,27 @@ func BenchmarkCodecPayloadShapes(b *testing.B) {
 		{"batch-block-4k-recs", benchBatchBlock(4096)},
 		{"state-64k", benchCheckpointState(64 << 10)},
 	}
+	codec := rpc.DefaultCodec
 	for _, shape := range shapes {
-		for _, codec := range benchCodecs {
-			b.Run(shape.name+"/"+codec.Name(), func(b *testing.B) {
-				enc, err := codec.EncodeMessage(nil, shape.msg)
+		b.Run(shape.name, func(b *testing.B) {
+			enc, err := codec.EncodeMessage(nil, shape.msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			buf := make([]byte, 0, len(enc))
+			for i := 0; i < b.N; i++ {
+				out, err := codec.EncodeMessage(buf[:0], shape.msg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				buf := make([]byte, 0, len(enc))
-				for i := 0; i < b.N; i++ {
-					out, err := codec.EncodeMessage(buf[:0], shape.msg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := codec.DecodeMessage(out); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := codec.DecodeMessage(out); err != nil {
+					b.Fatal(err)
 				}
-				// After ResetTimer: it deletes user-reported metrics.
-				b.ReportMetric(float64(len(enc)), "wire-B/op")
-			})
-		}
+			}
+			// After ResetTimer: it deletes user-reported metrics.
+			b.ReportMetric(float64(len(enc)), "wire-B/op")
+		})
 	}
 }

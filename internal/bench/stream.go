@@ -85,12 +85,6 @@ type StreamOpts struct {
 	Metrics *metrics.Registry
 	// Tracer, when set, records the run's micro-batch lifecycle spans.
 	Tracer *trace.Tracer
-	// Codec, when set, round-trips every in-memory message through this
-	// wire codec (encode + decode, encoded size charged as bandwidth), so
-	// the streaming benchmarks include serialization cost — the same knob
-	// drizzle-bench's -codec flag and the chaos harness's CHAOS_CODEC use.
-	// Nil passes messages by reference.
-	Codec rpc.Codec
 }
 
 // DefaultStreamOpts is the laptop-scale equivalent of the paper's cluster
@@ -136,9 +130,7 @@ type StreamResult struct {
 // RunMicroBatch executes the job on an in-process micro-batch cluster
 // under the configured scheduling mode.
 func RunMicroBatch(job StreamJob, o StreamOpts) (*StreamResult, error) {
-	imc := rpc.EC2LikeConfig()
-	imc.Codec = o.Codec
-	net := rpc.NewInMemNetwork(imc)
+	net := rpc.NewInMemNetwork(rpc.EC2LikeConfig())
 	defer net.Close()
 	reg := engine.NewRegistry()
 

@@ -16,9 +16,9 @@ import (
 )
 
 // wireMsg is the small control-message stand-in for transport benchmarks.
-// It is registered with both codecs — the binary registration (tag 32, the
-// applications/tests range) exercises the public RegisterBinaryMessage API
-// the same way internal/core's messages do.
+// Its registration (tag 32, the applications/tests range) exercises the
+// public RegisterBinaryMessage API the same way internal/core's messages
+// do; the unbuffered baseline sends it with gob.
 type wireMsg struct {
 	Seq int
 	Pad []byte
@@ -34,7 +34,7 @@ type baselineEnvelope struct {
 }
 
 func init() {
-	rpc.RegisterType(wireMsg{})
+	gob.Register(wireMsg{})
 	// Pad rides through AppendCompressed with the same 4 KiB threshold the
 	// real bulk fields (checkpoint state, shuffle blocks) use, so the
 	// payload-heavy transport shapes exercise the production byte path.
@@ -51,20 +51,16 @@ func init() {
 		})
 }
 
-// benchCodecs are the wire codecs every transport benchmark is parameterized
-// over, so one -bench run produces the gob/binary comparison directly.
-var benchCodecs = []rpc.Codec{rpc.Gob, rpc.Binary}
-
 // BenchmarkTCPTransport measures small-message throughput of the TCP
 // transport against an unbuffered baseline that reproduces the prototype
 // transport's write path: one gob.Encoder directly on the socket behind a
 // mutex, one syscall per frame. The buffered variants are the real
-// rpc.TCPNetwork (bufio.Writer + group-flush), once per codec. Both sides
+// rpc.TCPNetwork (bufio.Writer + group-flush). Both sides
 // count at the receiver, so the number includes decode + delivery.
 //
 // Every variant sends one warm-up message and waits for its delivery before
-// the timer starts: the connection dial, and for gob the per-connection type
-// dictionary, are setup cost — attributing them to the first timed message
+// the timer starts: the connection dial, and for the gob baseline the
+// per-connection type dictionary, are setup cost — attributing them to the first timed message
 // used to skew small-b.N runs (see docs/EXPERIMENTS.md).
 //
 // senders raises RunParallel's goroutine count above GOMAXPROCS: in the
@@ -145,42 +141,39 @@ func BenchmarkTCPTransport(b *testing.B) {
 		{"launch-64-tasks", benchLaunchTasks(64)},
 	}
 	for _, shape := range shapes {
-		for _, codec := range benchCodecs {
-			b.Run(fmt.Sprintf("buffered-%s/%s", codec.Name(), shape.name), func(b *testing.B) {
-				cfg := rpc.DefaultTCPConfig()
-				cfg.Codec = codec
-				// The bench floods one route far faster than the delivery goroutine
-				// is scheduled under full-core send pressure; a deep queue keeps the
-				// shed policy out of the measurement so every message is counted.
-				cfg.InboundQueue = 1 << 21
-				n := rpc.NewTCPNetworkWithConfig(cfg)
-				defer n.Close()
-				var delivered atomic.Int64
-				if _, err := n.Listen("server", "127.0.0.1:0", func(rpc.NodeID, any) {
-					delivered.Add(1)
-				}); err != nil {
-					b.Fatal(err)
-				}
-				// Warm the route: dial + (for gob) the type dictionary happen
-				// here, not on the first timed send.
-				if err := n.Send("client", "server", shape.msg); err != nil {
-					b.Fatal(err)
-				}
-				waitCount(b, &delivered, 1)
-				b.SetParallelism(senders)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						if err := n.Send("client", "server", shape.msg); err != nil {
-							b.Error(err)
-							return
-						}
+		b.Run("buffered/"+shape.name, func(b *testing.B) {
+			cfg := rpc.DefaultTCPConfig()
+			// The bench floods one route far faster than the delivery goroutine
+			// is scheduled under full-core send pressure; a deep queue keeps the
+			// shed policy out of the measurement so every message is counted.
+			cfg.InboundQueue = 1 << 21
+			n := rpc.NewTCPNetworkWithConfig(cfg)
+			defer n.Close()
+			var delivered atomic.Int64
+			if _, err := n.Listen("server", "127.0.0.1:0", func(rpc.NodeID, any) {
+				delivered.Add(1)
+			}); err != nil {
+				b.Fatal(err)
+			}
+			// Warm the route: the dial happens here, not on the first timed
+			// send.
+			if err := n.Send("client", "server", shape.msg); err != nil {
+				b.Fatal(err)
+			}
+			waitCount(b, &delivered, 1)
+			b.SetParallelism(senders)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if err := n.Send("client", "server", shape.msg); err != nil {
+						b.Error(err)
+						return
 					}
-				})
-				waitCount(b, &delivered, int64(b.N)+1)
-				b.ReportMetric(float64(n.Stats().SocketWrites)/float64(b.N), "writes/op")
+				}
 			})
-		}
+			waitCount(b, &delivered, int64(b.N)+1)
+			b.ReportMetric(float64(n.Stats().SocketWrites)/float64(b.N), "writes/op")
+		})
 	}
 }
 
@@ -197,18 +190,15 @@ func waitCount(b *testing.B, c *atomic.Int64, want int64) {
 
 // fetchBench wires two block holders and a fetcher over one TCP network,
 // returning the fetcher, the per-holder request map, and the total stored
-// bytes per full fetch. Both variants store blocks as Store.Put writes them,
-// so the codec — the envelope around the block bytes — is the difference.
-func fetchBench(b *testing.B, codec rpc.Codec) (*shuffle.Fetcher, map[rpc.NodeID][]shuffle.BlockID, int64, func()) {
+// bytes per full fetch. Blocks are stored as Store.Put writes them.
+func fetchBench(b *testing.B) (*shuffle.Fetcher, map[rpc.NodeID][]shuffle.BlockID, int64, func()) {
 	b.Helper()
 	const (
 		holders      = 2
 		blocksPer    = 4
 		recsPerBlock = 2000
 	)
-	cfg := rpc.DefaultTCPConfig()
-	cfg.Codec = codec
-	n := rpc.NewTCPNetworkWithConfig(cfg)
+	n := rpc.NewTCPNetwork()
 
 	req := make(map[rpc.NodeID][]shuffle.BlockID, holders)
 	var totalBytes int64
@@ -249,36 +239,32 @@ func fetchBench(b *testing.B, codec rpc.Codec) (*shuffle.Fetcher, map[rpc.NodeID
 }
 
 // BenchmarkShuffleFetch measures a reduce task's input gathering over real
-// TCP from two holders, per codec: sequential per-holder Fetch (the old
+// TCP from two holders: sequential per-holder Fetch (the old
 // gatherInputs loop) versus pipelined FetchAll. Each iteration moves 8
 // blocks of 2000 records each — a payload-heavy reduce input.
 func BenchmarkShuffleFetch(b *testing.B) {
-	for _, codec := range benchCodecs {
-		b.Run(codec.Name(), func(b *testing.B) {
-			fetcher, req, totalBytes, cleanup := fetchBench(b, codec)
-			defer cleanup()
-			// Warm every route (dial + gob type dictionary) before timing.
+	fetcher, req, totalBytes, cleanup := fetchBench(b)
+	defer cleanup()
+	// Warm every route (dial) before timing.
+	if _, err := fetcher.FetchAll(req, 10*time.Second); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("sequential", func(b *testing.B) {
+		b.SetBytes(totalBytes)
+		for i := 0; i < b.N; i++ {
+			for holder, blocks := range req {
+				if _, err := fetcher.Fetch(holder, blocks, 10*time.Second); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("pipelined", func(b *testing.B) {
+		b.SetBytes(totalBytes)
+		for i := 0; i < b.N; i++ {
 			if _, err := fetcher.FetchAll(req, 10*time.Second); err != nil {
 				b.Fatal(err)
 			}
-			b.Run("sequential", func(b *testing.B) {
-				b.SetBytes(totalBytes)
-				for i := 0; i < b.N; i++ {
-					for holder, blocks := range req {
-						if _, err := fetcher.Fetch(holder, blocks, 10*time.Second); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-			b.Run("pipelined", func(b *testing.B) {
-				b.SetBytes(totalBytes)
-				for i := 0; i < b.N; i++ {
-					if _, err := fetcher.FetchAll(req, 10*time.Second); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 }

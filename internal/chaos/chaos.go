@@ -121,12 +121,12 @@ type Scenario struct {
 	// Events fire in At order on a dedicated goroutine.
 	Events []Event
 
-	// Codec, when set, makes the in-memory network round-trip every message
-	// through it (encode then decode, charging the encoded size as
-	// bandwidth), so a whole chaos run exercises a wire codec end to end.
-	// Nil sends values by reference as before. The CHAOS_CODEC env var and
-	// the codec-equivalence test drive this.
-	Codec rpc.Codec
+	// RoundTrip makes the in-memory network pass every message through the
+	// wire codec (encode then decode, charging the encoded size as
+	// bandwidth), so a whole chaos run exercises the codec end to end.
+	// False sends values by reference. The codec-equivalence test drives
+	// this.
+	RoundTrip bool
 
 	// VerifyTelemetry adds a telemetry-plane oracle after the run: for every
 	// surviving worker, the driver's heartbeat-shipped mirror (cluster:
@@ -562,10 +562,10 @@ func Run(sc Scenario) *Report {
 	}
 
 	net := rpc.NewInMemNetwork(rpc.InMemConfig{
-		Latency: 200 * time.Microsecond,
-		Jitter:  100 * time.Microsecond,
-		Seed:    sc.Seed,
-		Codec:   sc.Codec,
+		Latency:   200 * time.Microsecond,
+		Jitter:    100 * time.Microsecond,
+		Seed:      sc.Seed,
+		RoundTrip: sc.RoundTrip,
 	})
 	plan := rpc.NewFaultPlan(sc.Seed)
 	for _, r := range sc.Rules {

@@ -407,37 +407,17 @@ func TestChaosTelemetryConvergence(t *testing.T) {
 	}
 }
 
-// chaosCodec resolves the CHAOS_CODEC env var (gob | binary) to the codec
-// every scenario in this run should round-trip its messages through. Unset
-// means nil: messages pass by reference, as the harness always did.
-func chaosCodec(t *testing.T) rpc.Codec {
-	s := os.Getenv("CHAOS_CODEC")
-	if s == "" {
-		return nil
-	}
-	c, err := rpc.CodecByName(s)
-	if err != nil {
-		t.Fatalf("bad CHAOS_CODEC %q: %v", s, err)
-	}
-	return c
-}
-
 // TestChaosRandomized is the main acceptance test: K randomized scenarios,
 // each fully derived from a seed, validated against the sequential oracle.
 // A failure prints the seed; CHAOS_SEED=<seed> re-runs exactly that
-// scenario, CHAOS_SCENARIOS=<n> overrides the count, and
-// CHAOS_CODEC=gob|binary round-trips every message through that wire codec
-// (CI runs the suite under both).
+// scenario, and CHAOS_SCENARIOS=<n> overrides the count.
 func TestChaosRandomized(t *testing.T) {
-	codec := chaosCodec(t)
 	if s := os.Getenv("CHAOS_SEED"); s != "" {
 		seed, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			t.Fatalf("bad CHAOS_SEED %q: %v", s, err)
 		}
-		sc := RandomScenario(seed)
-		sc.Codec = codec
-		rep := Run(sc)
+		rep := Run(RandomScenario(seed))
 		t.Log(rep.Summary())
 		if err := rep.Err(); err != nil {
 			t.Fatal(err)
@@ -460,22 +440,21 @@ func TestChaosRandomized(t *testing.T) {
 		seed := base + int64(i)*1000003
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			sc := RandomScenario(seed)
-			sc.Codec = codec
-			rep := Run(sc)
+			rep := Run(RandomScenario(seed))
 			t.Log(rep.Summary())
 			if err := rep.Err(); err != nil {
-				t.Errorf("reproduce with: CHAOS_SEED=%d CHAOS_CODEC=%s go test -race -run TestChaosRandomized ./internal/chaos\nartifacts: %s\n%v",
-					seed, os.Getenv("CHAOS_CODEC"), dumpArtifacts(t, rep), err)
+				t.Errorf("reproduce with: CHAOS_SEED=%d go test -race -run TestChaosRandomized ./internal/chaos\nartifacts: %s\n%v",
+					seed, dumpArtifacts(t, rep), err)
 			}
 		})
 	}
 }
 
-// TestChaosCodecEquivalence runs the same seeded scenarios once per codec
-// and demands the identical oracle verdict from both runs. This is the
-// system-level half of the codec-equivalence argument: the differential test
-// proves value equality per message, this proves that swapping the codec
+// TestChaosCodecEquivalence runs the same seeded scenarios once with
+// messages passed by reference and once round-tripped through the wire
+// codec, and demands the identical oracle verdict from both runs. This is
+// the system-level half of the codec argument: the differential test proves
+// value equality per message, this proves that serializing every message
 // under a full faulty cluster changes nothing the oracle can observe.
 func TestChaosCodecEquivalence(t *testing.T) {
 	seeds := []int64{20260807, 21260810, 22260813}
@@ -486,21 +465,21 @@ func TestChaosCodecEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			verdicts := make(map[string]error, 2)
-			for _, c := range []rpc.Codec{rpc.Gob, rpc.Binary} {
+			var verdicts [2]error
+			for i, roundTrip := range []bool{false, true} {
 				sc := RandomScenario(seed)
-				sc.Codec = c
+				sc.RoundTrip = roundTrip
 				rep := Run(sc)
-				t.Logf("%s: %s", c.Name(), rep.Summary())
-				verdicts[c.Name()] = rep.Err()
+				t.Logf("round trip %v: %s", roundTrip, rep.Summary())
+				verdicts[i] = rep.Err()
 				if err := rep.Err(); err != nil {
-					t.Errorf("codec %s: reproduce with: CHAOS_SEED=%d CHAOS_CODEC=%s go test -race -run TestChaosRandomized ./internal/chaos\nartifacts: %s\n%v",
-						c.Name(), seed, c.Name(), dumpArtifacts(t, rep), err)
+					t.Errorf("round trip %v: seed %d\nartifacts: %s\n%v",
+						roundTrip, seed, dumpArtifacts(t, rep), err)
 				}
 			}
-			if (verdicts["gob"] == nil) != (verdicts["binary"] == nil) {
-				t.Errorf("oracle verdicts diverge between codecs: gob=%v binary=%v",
-					verdicts["gob"], verdicts["binary"])
+			if (verdicts[0] == nil) != (verdicts[1] == nil) {
+				t.Errorf("oracle verdicts diverge: by reference=%v round trip=%v",
+					verdicts[0], verdicts[1])
 			}
 		})
 	}

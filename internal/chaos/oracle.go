@@ -207,9 +207,10 @@ func (s *oracleSink) conflictList() []string {
 // watermarkStore wraps the in-memory checkpoint store and records a
 // violation if the latest snapshot for any key ever moves to an older
 // batch — the monotonic-watermark invariant the driver's recovery logic
-// depends on when deciding which snapshot a new owner restores from.
+// depends on when deciding which snapshot a new owner restores from. Every
+// other method is the embedded MemStore's.
 type watermarkStore struct {
-	inner *checkpoint.MemStore
+	*checkpoint.MemStore
 
 	mu     sync.Mutex
 	high   map[checkpoint.StateKey]int64
@@ -219,14 +220,14 @@ type watermarkStore struct {
 
 func newWatermarkStore() *watermarkStore {
 	return &watermarkStore{
-		inner: checkpoint.NewMemStore(),
-		high:  make(map[checkpoint.StateKey]int64),
+		MemStore: checkpoint.NewMemStore(),
+		high:     make(map[checkpoint.StateKey]int64),
 	}
 }
 
 func (ws *watermarkStore) Put(s *checkpoint.Snapshot) error {
-	err := ws.inner.Put(s)
-	latest, ok, _ := ws.inner.Latest(s.Key)
+	err := ws.MemStore.Put(s)
+	latest, ok, _ := ws.MemStore.Latest(s.Key)
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	ws.puts++
@@ -241,10 +242,6 @@ func (ws *watermarkStore) Put(s *checkpoint.Snapshot) error {
 		}
 	}
 	return err
-}
-
-func (ws *watermarkStore) Latest(k checkpoint.StateKey) (*checkpoint.Snapshot, bool, error) {
-	return ws.inner.Latest(k)
 }
 
 func (ws *watermarkStore) putCount() int64 {

@@ -11,13 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
-
-	"drizzle/internal/metrics"
 )
 
 // StateKey identifies one terminal-stage state partition of a job.
@@ -116,14 +110,26 @@ func DecodeSnapshot(key StateKey, b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Store persists snapshots. Latest returns the most recent snapshot for a
-// key (highest Batch).
-type Store interface {
+// StateBackend is the checkpoint store the driver barriers against.
+// MemStore keeps snapshots in driver memory; LogStore makes them durable.
+type StateBackend interface {
+	// Put stores a snapshot; a snapshot older than the stored one for its
+	// key is ignored.
 	Put(s *Snapshot) error
+	// Latest returns the most recent snapshot for a key (highest Batch).
 	Latest(k StateKey) (*Snapshot, bool, error)
+	// DurableBatch reports the newest batch for a key whose snapshot has
+	// reached stable storage. The driver's purge watermark uses it so
+	// lineage is only discarded once the covering snapshot would survive a
+	// crash.
+	DurableBatch(k StateKey) (int64, bool)
+	// Sync blocks until every snapshot accepted by Put so far is durable.
+	Sync() error
+	Close() error
 }
 
-// MemStore is the driver-resident Store used by the in-process experiments.
+// MemStore is the driver-resident StateBackend used by the in-process
+// experiments.
 type MemStore struct {
 	mu   sync.Mutex
 	data map[StateKey]*Snapshot
@@ -134,7 +140,7 @@ func NewMemStore() *MemStore {
 	return &MemStore{data: make(map[StateKey]*Snapshot)}
 }
 
-// Put implements Store, keeping only the newest snapshot per key.
+// Put implements StateBackend, keeping only the newest snapshot per key.
 func (m *MemStore) Put(s *Snapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -145,7 +151,7 @@ func (m *MemStore) Put(s *Snapshot) error {
 	return nil
 }
 
-// Latest implements Store.
+// Latest implements StateBackend.
 func (m *MemStore) Latest(k StateKey) (*Snapshot, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -156,142 +162,21 @@ func (m *MemStore) Latest(k StateKey) (*Snapshot, bool, error) {
 	return s.Clone(), true, nil
 }
 
-// FileStore persists snapshots as files in a directory, one per state key,
-// written atomically (tmp + fsync + rename + dir fsync). It backs the
-// TCP-cluster deployment. An undecodable snapshot file is quarantined as
-// <name>.corrupt and reported as "no snapshot" so one bad file degrades to
-// replay-from-scratch for that partition instead of failing recovery.
-type FileStore struct {
-	dir     string
-	mu      sync.Mutex
-	corrupt *metrics.Counter
+// DurableBatch implements StateBackend. Memory has no stable storage to
+// wait for, so a stored snapshot counts as soon as Put returns: this is the
+// latest batch.
+func (m *MemStore) DurableBatch(k StateKey) (int64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.data[k]
+	if !ok {
+		return 0, false
+	}
+	return s.Batch, true
 }
 
-// NewFileStore creates (if needed) and uses dir.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return &FileStore{dir: dir}, nil
-}
-
-func (f *FileStore) path(k StateKey) string {
-	return filepath.Join(f.dir, fmt.Sprintf("%s-s%d-p%d.ckpt", k.Job, k.Stage, k.Partition))
-}
-
-// Instrument registers the corrupt-snapshot counter on r.
-func (f *FileStore) Instrument(r *metrics.Registry) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.corrupt = r.Counter("drizzle_driver_ckpt_corrupt_total")
-}
-
-// Put implements Store. The snapshot file is fsynced before the rename and
-// the directory after it, so a crash immediately after Put returns cannot
-// lose or tear the snapshot — the rename either happened durably or the
-// old file is still intact.
-func (f *FileStore) Put(s *Snapshot) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if old, ok, err := f.latestLocked(s.Key); err == nil && ok && old.Batch > s.Batch {
-		return nil
-	}
-	body := s.Encode()
-	tmp := f.path(s.Key) + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("checkpoint: write: %w", err)
-	}
-	if _, err := tf.Write(body); err != nil {
-		tf.Close()
-		return fmt.Errorf("checkpoint: write: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fmt.Errorf("checkpoint: fsync: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close: %w", err)
-	}
-	if err := os.Rename(tmp, f.path(s.Key)); err != nil {
-		return fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	if err := syncDir(f.dir); err != nil {
-		return fmt.Errorf("checkpoint: fsync dir: %w", err)
-	}
-	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// Latest implements Store.
-func (f *FileStore) Latest(k StateKey) (*Snapshot, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.latestLocked(k)
-}
-
-func (f *FileStore) latestLocked(k StateKey) (*Snapshot, bool, error) {
-	b, err := os.ReadFile(f.path(k))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("checkpoint: read: %w", err)
-	}
-	s, err := DecodeSnapshot(k, b)
-	if err != nil {
-		// Quarantine rather than fail the whole recovery: the partition
-		// degrades to "no snapshot" and is rebuilt by source replay.
-		if f.corrupt != nil {
-			f.corrupt.Inc()
-		}
-		_ = os.Rename(f.path(k), f.path(k)+".corrupt")
-		return nil, false, nil
-	}
-	return s, true, nil
-}
-
-// Keys implements StateBackend by listing snapshot files. Key fields are
-// parsed from the right so job names containing dashes stay intact.
-func (f *FileStore) Keys() ([]StateKey, error) {
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	var ks []StateKey
-	for _, e := range entries {
-		name, ok := strings.CutSuffix(e.Name(), ".ckpt")
-		if !ok {
-			continue
-		}
-		pi := strings.LastIndex(name, "-p")
-		if pi < 0 {
-			continue
-		}
-		si := strings.LastIndex(name[:pi], "-s")
-		if si < 0 {
-			continue
-		}
-		stage, err1 := strconv.Atoi(name[si+2 : pi])
-		part, err2 := strconv.Atoi(name[pi+2:])
-		if err1 != nil || err2 != nil {
-			continue
-		}
-		ks = append(ks, StateKey{Job: name[:si], Stage: stage, Partition: part})
-	}
-	return ks, nil
-}
-
-// Sync implements StateBackend; Put already fsyncs, so this is a no-op.
-func (f *FileStore) Sync() error { return nil }
+// Sync implements StateBackend; memory has no durability.
+func (m *MemStore) Sync() error { return nil }
 
 // Close implements StateBackend.
-func (f *FileStore) Close() error { return nil }
+func (m *MemStore) Close() error { return nil }

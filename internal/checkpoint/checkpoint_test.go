@@ -79,7 +79,7 @@ func TestSnapshotCloneIsolation(t *testing.T) {
 	}
 }
 
-func testStore(t *testing.T, store Store) {
+func testStore(t *testing.T, store StateBackend) {
 	t.Helper()
 	k := StateKey{Job: "j", Stage: 1, Partition: 2}
 	if _, ok, err := store.Latest(k); ok || err != nil {
@@ -111,18 +111,16 @@ func testStore(t *testing.T, store Store) {
 	if got.Batch != 20 {
 		t.Fatalf("store regressed to batch %d", got.Batch)
 	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := store.DurableBatch(k); !ok || b != 20 {
+		t.Fatalf("DurableBatch = (%d,%v), want (20,true)", b, ok)
+	}
 }
 
 func TestMemStore(t *testing.T) {
 	testStore(t, NewMemStore())
-}
-
-func TestFileStore(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testStore(t, fs)
 }
 
 func TestMemStoreIsolation(t *testing.T) {
@@ -138,25 +136,5 @@ func TestMemStoreIsolation(t *testing.T) {
 	again, _, _ := store.Latest(s.Key)
 	if again.Windows[0][1] != 10 {
 		t.Fatal("MemStore returns aliased snapshots")
-	}
-}
-
-func TestFileStorePersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sampleSnapshot()
-	if err := fs.Put(s); err != nil {
-		t.Fatal(err)
-	}
-	fs2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := fs2.Latest(s.Key)
-	if err != nil || !ok || got.Batch != s.Batch {
-		t.Fatalf("reopened store lost snapshot: ok=%v err=%v", ok, err)
 	}
 }

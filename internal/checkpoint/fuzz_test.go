@@ -36,7 +36,8 @@ func FuzzApplyRecord(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSnapshot covers the FileStore's fixed-width snapshot codec.
+// FuzzDecodeSnapshot covers the fixed-width snapshot codec that
+// CheckpointData and RestoreState carry.
 func FuzzDecodeSnapshot(f *testing.F) {
 	k := StateKey{Job: "j", Stage: 1, Partition: 0}
 	f.Add(snapAt(k, 3, map[int64]map[uint64]int64{100: {1: 2}, 200: {7: 9}}, 100).Encode())

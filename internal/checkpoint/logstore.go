@@ -9,47 +9,6 @@ import (
 	"drizzle/internal/wire"
 )
 
-// StateBackend is the pluggable checkpoint store the driver barriers
-// against. It extends Store with enumeration (cold-start recovery needs to
-// discover which partitions have snapshots), an explicit durability
-// barrier, and a lifecycle end. MemStore, FileStore, and LogStore all
-// implement it; the driver type-asserts Store values at the boundaries so
-// minimal Store implementations (tests, oracles) keep working.
-type StateBackend interface {
-	Store
-	// Keys lists every state key with at least one stored snapshot.
-	Keys() ([]StateKey, error)
-	// Sync blocks until every snapshot accepted by Put so far is durable.
-	Sync() error
-	Close() error
-}
-
-// DurableStore is an optional interface for backends that distinguish
-// accepted from durable: DurableBatch reports the newest batch for a key
-// whose snapshot is known to have reached stable storage. The driver's
-// purge watermark uses it so lineage is only discarded once the covering
-// snapshot would survive a crash.
-type DurableStore interface {
-	DurableBatch(k StateKey) (int64, bool)
-}
-
-// Keys implements StateBackend for MemStore.
-func (m *MemStore) Keys() ([]StateKey, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ks := make([]StateKey, 0, len(m.data))
-	for k := range m.data {
-		ks = append(ks, k)
-	}
-	return ks, nil
-}
-
-// Sync implements StateBackend for MemStore; memory has no durability.
-func (m *MemStore) Sync() error { return nil }
-
-// Close implements StateBackend for MemStore.
-func (m *MemStore) Close() error { return nil }
-
 const compressThreshold = 4 << 10
 
 // Record kinds in a LogStore segment.
@@ -235,7 +194,7 @@ func (s *LogStore) applyRecord(p []byte, broken map[StateKey]bool) {
 	}
 }
 
-// Put implements Store: appends a full or delta record. The write is
+// Put implements StateBackend: appends a full or delta record. The write is
 // asynchronous; call Sync to make it durable, DurableBatch to ask.
 func (s *LogStore) Put(snap *Snapshot) error {
 	s.mu.Lock()
@@ -274,7 +233,7 @@ func (s *LogStore) Put(snap *Snapshot) error {
 	return nil
 }
 
-// Latest implements Store from the in-memory mirror.
+// Latest implements StateBackend from the in-memory mirror.
 func (s *LogStore) Latest(k StateKey) (*Snapshot, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -283,17 +242,6 @@ func (s *LogStore) Latest(k StateKey) (*Snapshot, bool, error) {
 		return nil, false, nil
 	}
 	return snap.Clone(), true, nil
-}
-
-// Keys implements StateBackend.
-func (s *LogStore) Keys() ([]StateKey, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ks := make([]StateKey, 0, len(s.data))
-	for k := range s.data {
-		ks = append(ks, k)
-	}
-	return ks, nil
 }
 
 // Sync implements StateBackend: fsyncs every accepted snapshot, advances
@@ -319,7 +267,7 @@ func (s *LogStore) Sync() error {
 	return nil
 }
 
-// DurableBatch implements DurableStore.
+// DurableBatch implements StateBackend.
 func (s *LogStore) DurableBatch(k StateKey) (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,8 +5,8 @@ import (
 )
 
 // Control-plane messages exchanged between the driver and workers, and
-// between workers (DataReady). All are registered with the gob codec so the
-// same protocol runs over TCP.
+// between workers (DataReady). Each registers a binary encoding (wire.go) so
+// the same protocol runs over TCP.
 
 // SubmitJob installs a job on a worker by registry name before any of its
 // tasks are launched.
@@ -124,9 +124,9 @@ type TaskStatus struct {
 // Seq orders ships within an Incarnation (a restarted worker starts a new
 // incarnation, telling the driver to discard the old mirror); the driver
 // ignores any ship at or below the last applied Seq. Ordinary ships carry
-// only series changed since the previous ship; every MetricFullShipEvery-th
-// carries everything, repairing the bounded staleness a dropped heartbeat
-// leaves behind.
+// only series changed since the previous ship; every 8th (the engine's
+// metricFullShipEvery) carries everything, repairing the bounded staleness
+// a dropped heartbeat leaves behind.
 type Heartbeat struct {
 	Worker rpc.NodeID
 	Nanos  int64
@@ -227,18 +227,3 @@ type RestoreState struct {
 
 // WireSize implements rpc.Sizer.
 func (r RestoreState) WireSize() int { return 64 + len(r.State) }
-
-func init() {
-	rpc.RegisterType(SubmitJob{})
-	rpc.RegisterType(MembershipUpdate{})
-	rpc.RegisterType(LaunchTasks{})
-	rpc.RegisterType(CancelTasks{})
-	rpc.RegisterType(KillTask{})
-	rpc.RegisterType(DataReady{})
-	rpc.RegisterType(TaskStatus{})
-	rpc.RegisterType(Heartbeat{})
-	rpc.RegisterType(RegisterWorker{})
-	rpc.RegisterType(TakeCheckpoint{})
-	rpc.RegisterType(CheckpointData{})
-	rpc.RegisterType(RestoreState{})
-}

@@ -6,7 +6,7 @@ import (
 )
 
 // Hand-rolled binary codecs for the control-plane messages, registered with
-// the rpc binary codec next to the gob registrations in messages.go. Layouts
+// the rpc codec. Layouts
 // are straight field-order varint/string encodings (see internal/wire);
 // checkpoint state payloads ride through wire.AppendCompressed so large
 // snapshots are snappy-compressed above the threshold. Tags 1..15 belong to
@@ -14,9 +14,10 @@ import (
 // protocol break between mixed-version processes.
 //
 // Decoders must mirror gob's round-trip normalization — zero-length slices
-// and maps decode to nil — because the differential oracle asserts
+// and maps decode to nil — because the differential test asserts
 // deep-equality between a binary round-trip and a gob round-trip of the
-// same value.
+// same value (gob, the wire format before this codec, is kept there as the
+// reference).
 
 const (
 	tagSubmitJob        = 1

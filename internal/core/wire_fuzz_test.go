@@ -17,22 +17,22 @@ import (
 
 func fuzzTaggedDecode(f *testing.F, tag byte, seeds []any) {
 	for _, msg := range seeds {
-		b, err := rpc.Binary.EncodeMessage(nil, msg)
+		b, err := rpc.DefaultCodec.EncodeMessage(nil, msg)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b[1:]) // strip the tag; the fuzz body pins it
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		msg, err := rpc.Binary.DecodeMessage(append([]byte{tag}, b...))
+		msg, err := rpc.DefaultCodec.DecodeMessage(append([]byte{tag}, b...))
 		if err != nil {
 			return
 		}
-		enc, err := rpc.Binary.EncodeMessage(nil, msg)
+		enc, err := rpc.DefaultCodec.EncodeMessage(nil, msg)
 		if err != nil {
 			t.Fatalf("re-encode of decoded %T failed: %v", msg, err)
 		}
-		again, err := rpc.Binary.DecodeMessage(enc)
+		again, err := rpc.DefaultCodec.DecodeMessage(enc)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -116,11 +116,11 @@ func TestBinaryFixedPointRandom(t *testing.T) {
 		d.TraceSpan = r.Uint64()
 		d.Group = int64(r.Intn(100))
 		msg := LaunchTasks{Tasks: []TaskDescriptor{d}, PurgeBefore: BatchID(r.Intn(50))}
-		b, err := rpc.Binary.EncodeMessage(nil, msg)
+		b, err := rpc.DefaultCodec.EncodeMessage(nil, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rpc.Binary.DecodeMessage(b)
+		got, err := rpc.DefaultCodec.DecodeMessage(b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,15 +104,6 @@ type Config struct {
 	HeartbeatTimeout time.Duration
 	// FetchTimeout bounds a shuffle fetch before the task reports failure.
 	FetchTimeout time.Duration
-	// ShuffleServers is the number of goroutines serving shuffle fetch
-	// requests. Serving is decoupled from the transport's delivery
-	// goroutine so a large block read never head-of-line-blocks control
-	// messages arriving on the same connection.
-	ShuffleServers int
-	// ShuffleQueue bounds the backlog of fetch requests awaiting service;
-	// overflow is dropped (the fetcher times out and the driver retries
-	// the task), matching the transport's shed-on-overload policy.
-	ShuffleQueue int
 	// StallResend is a safety net: if a group makes no progress for this
 	// long, the driver re-sends descriptors for incomplete tasks with its
 	// best-known dependency locations. 0 picks a default.
@@ -150,19 +141,6 @@ type Config struct {
 	// for stragglers.
 	SpeculationInterval time.Duration
 
-	// HealthBlacklistRatio blacklists a worker whose service-time EWMA
-	// exceeds this multiple of the cluster median (with enough samples);
-	// half the ratio marks it degraded. Degraded workers get reduced
-	// placement weight, blacklisted ones get none.
-	HealthBlacklistRatio float64
-	// HealthFailureThreshold blacklists a worker after this many
-	// unforgiven failures/straggler flags.
-	HealthFailureThreshold int
-	// HealthProbation is how long a blacklisted worker sits out before it
-	// is retried (degraded weight); if it misbehaves again it is
-	// re-blacklisted quickly.
-	HealthProbation time.Duration
-
 	// Slowdown multiplies this worker's task service time (testing aid for
 	// the multi-process cluster: a real slow process, not an emulated one).
 	// Values <= 1 mean run at full speed. The in-memory chaos harness
@@ -179,52 +157,15 @@ type Config struct {
 	// workers to (re-)register before giving up with "no live workers".
 	// Fresh runs without a WAL fail immediately, as before.
 	RecoverWait time.Duration
-	// ReRegisterAfter is how long a worker tolerates driver silence before
-	// re-sending RegisterWorker — the path by which a restarted driver
-	// relearns its workers. 0 picks a default of 4x HeartbeatInterval.
-	ReRegisterAfter time.Duration
 	// AdvertiseAddr is the transport address a worker announces in
 	// RegisterWorker so a recovered driver can dial it back. Empty on
 	// in-memory networks, where node IDs route directly.
 	AdvertiseAddr string
 
-	// MetricShipEvery ships worker metric samples on every Nth heartbeat
-	// (1 = every heartbeat, the default). Negative disables telemetry
-	// shipping entirely; the heartbeat reverts to a bare liveness beat.
-	MetricShipEvery int
-	// MetricFullShipEvery makes every Nth *ship* carry the worker's entire
-	// series set instead of only series changed since the previous ship.
-	// Full ships bound the staleness a dropped changed-only heartbeat can
-	// leave in the driver's mirror. Default 8.
-	MetricFullShipEvery int
-	// MetricEvictAfter is how long the driver keeps a departed worker's
-	// mirrored series before evicting them from its registry, bounding
-	// label cardinality across join/kill churn. 0 picks 5x HeartbeatTimeout.
-	MetricEvictAfter time.Duration
 	// TelemetryInterval is the driver's time-series history tick: how often
 	// the registry is snapshotted into the per-series ring behind
 	// /timeseriesz and the SLO watcher. 0 picks 5x HeartbeatInterval.
 	TelemetryInterval time.Duration
-	// TelemetryDepth is the ring depth of the driver's history (how many
-	// ticks each series retains). 0 picks metrics.DefaultHistoryDepth.
-	TelemetryDepth int
-
-	// SLOLatencyFactor flags a latency_slo_breach when per-batch latency
-	// sustains above this multiple of the job's window interval. Default 2.
-	SLOLatencyFactor float64
-	// SLOQueueDepthMax flags worker_saturated when a worker's shipped queue
-	// depth sustains at or above this many tasks. Default 2x SlotsPerWorker.
-	SLOQueueDepthMax int
-	// SLOSustainTicks is how many consecutive history ticks a condition
-	// must hold before the watcher raises it — one-tick spikes are noise.
-	// Default 3.
-	SLOSustainTicks int
-	// SLOMinBacklog is the backlog (batches behind wall clock) below which
-	// backlog_growing is never raised. Default 2x GroupSize.
-	SLOMinBacklog int
-	// SLOCooldown rate-limits repeated emission of the same SLO event kind.
-	// 0 picks 10x TelemetryInterval.
-	SLOCooldown time.Duration
 
 	// Costs emulates driver-side scheduling costs.
 	Costs CostModel
@@ -271,12 +212,6 @@ func (c Config) withDefaults() Config {
 	if c.FetchTimeout <= 0 {
 		c.FetchTimeout = 2 * time.Second
 	}
-	if c.ShuffleServers <= 0 {
-		c.ShuffleServers = 2
-	}
-	if c.ShuffleQueue <= 0 {
-		c.ShuffleQueue = 1024
-	}
 	if c.StallResend <= 0 {
 		c.StallResend = 5 * time.Second
 	}
@@ -301,53 +236,38 @@ func (c Config) withDefaults() Config {
 	if c.SpeculationInterval <= 0 {
 		c.SpeculationInterval = 20 * time.Millisecond
 	}
-	if c.HealthBlacklistRatio <= 1 {
-		c.HealthBlacklistRatio = 4.0
-	}
-	if c.HealthFailureThreshold <= 0 {
-		c.HealthFailureThreshold = 3
-	}
-	if c.HealthProbation <= 0 {
-		c.HealthProbation = 2 * time.Second
-	}
-	if c.ReRegisterAfter <= 0 {
-		c.ReRegisterAfter = 4 * c.HeartbeatInterval
-	}
 	if c.RecoverWait <= 0 {
 		c.RecoverWait = 2 * c.HeartbeatTimeout
 	}
-	if c.MetricShipEvery == 0 {
-		c.MetricShipEvery = 1
-	}
-	if c.MetricFullShipEvery <= 0 {
-		c.MetricFullShipEvery = 8
-	}
-	if c.MetricEvictAfter <= 0 {
-		c.MetricEvictAfter = 5 * c.HeartbeatTimeout
-	}
 	if c.TelemetryInterval <= 0 {
 		c.TelemetryInterval = 5 * c.HeartbeatInterval
-	}
-	if c.TelemetryDepth <= 0 {
-		c.TelemetryDepth = metrics.DefaultHistoryDepth
-	}
-	if c.SLOLatencyFactor <= 1 {
-		c.SLOLatencyFactor = 2.0
-	}
-	if c.SLOQueueDepthMax <= 0 {
-		c.SLOQueueDepthMax = 2 * c.SlotsPerWorker
-	}
-	if c.SLOSustainTicks <= 0 {
-		c.SLOSustainTicks = 3
-	}
-	if c.SLOMinBacklog <= 0 {
-		c.SLOMinBacklog = 2 * c.GroupSize
-	}
-	if c.SLOCooldown <= 0 {
-		c.SLOCooldown = 10 * c.TelemetryInterval
 	}
 	if c.Logger == nil {
 		c.Logger = obs.Default()
 	}
 	return c
 }
+
+// Knobs derived from the configured ones. Each is what withDefaults filled
+// in when it was a Config field of its own that nothing set.
+
+// reRegisterAfter is how long a worker tolerates driver silence before
+// re-sending RegisterWorker — the path by which a restarted driver
+// relearns its workers.
+func (c Config) reRegisterAfter() time.Duration { return 4 * c.HeartbeatInterval }
+
+// metricEvictAfter is how long the driver keeps a departed worker's
+// mirrored series before evicting them from its registry, bounding label
+// cardinality across join/kill churn.
+func (c Config) metricEvictAfter() time.Duration { return 5 * c.HeartbeatTimeout }
+
+// sloQueueDepthMax flags worker_saturated when a worker's shipped queue
+// depth sustains at or above this many tasks.
+func (c Config) sloQueueDepthMax() int { return 2 * c.SlotsPerWorker }
+
+// sloMinBacklog is the backlog (batches behind wall clock) below which
+// backlog_growing is never raised.
+func (c Config) sloMinBacklog() int { return 2 * c.GroupSize }
+
+// sloCooldown rate-limits repeated emission of the same SLO event kind.
+func (c Config) sloCooldown() time.Duration { return 10 * c.TelemetryInterval }

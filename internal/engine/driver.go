@@ -27,7 +27,7 @@ type Driver struct {
 	net  rpc.Network
 	cfg  Config
 	reg  *Registry
-	ckpt checkpoint.Store
+	ckpt checkpoint.StateBackend
 	log  *slog.Logger
 	m    driverMetrics
 
@@ -139,12 +139,12 @@ const statusQueueLen = 1 << 12
 
 // NewDriver constructs a driver; call Start to attach it to the network.
 // ckptStore may be nil, in which case an in-memory store is used.
-func NewDriver(id rpc.NodeID, net rpc.Network, reg *Registry, cfg Config, ckptStore checkpoint.Store) *Driver {
+func NewDriver(id rpc.NodeID, net rpc.Network, reg *Registry, cfg Config, ckptStore checkpoint.StateBackend) *Driver {
 	if ckptStore == nil {
 		ckptStore = checkpoint.NewMemStore()
 	}
 	cfg = cfg.withDefaults()
-	history := metrics.NewHistory(cfg.Metrics, cfg.TelemetryDepth)
+	history := metrics.NewHistory(cfg.Metrics, metrics.DefaultHistoryDepth)
 	return &Driver{
 		id:       id,
 		net:      net,
@@ -361,7 +361,7 @@ func (d *Driver) monitor() {
 				default:
 				}
 			}
-			if n := d.ingest.sweep(now, d.cfg.MetricEvictAfter); n > 0 {
+			if n := d.ingest.sweep(now, d.cfg.metricEvictAfter()); n > 0 {
 				d.log.Info("evicted departed workers' telemetry", "series", n)
 			}
 			d.slo.evaluate(now)
@@ -635,10 +635,8 @@ func (d *Driver) Run(jobName string, numBatches int) (*RunStats, error) {
 					d.log.Warn("wal sync failed", "err", err)
 				}
 			}
-			if sb, ok := d.ckpt.(checkpoint.StateBackend); ok {
-				if err := sb.Sync(); err != nil {
-					d.log.Warn("checkpoint backend sync failed", "err", err)
-				}
+			if err := d.ckpt.Sync(); err != nil {
+				d.log.Warn("checkpoint backend sync failed", "err", err)
 			}
 		}
 		if tuner != nil {
@@ -899,15 +897,11 @@ func (d *Driver) purgeWatermark(rs *runState) core.BatchID {
 		for p := 0; p < stage.NumPartitions && wm > 0; p++ {
 			key := checkpoint.StateKey{Job: rs.jobName, Stage: si, Partition: p}
 			covered := core.BatchID(0)
-			if ds, ok := d.ckpt.(checkpoint.DurableStore); ok {
-				// On a durable backend only a *synced* snapshot counts:
-				// an accepted-but-unfsynced one would vanish with a
-				// crash, and the purged lineage with it.
-				if b, ok := ds.DurableBatch(key); ok {
-					covered = core.BatchID(b) + 1
-				}
-			} else if snap, ok, err := d.ckpt.Latest(key); err == nil && ok {
-				covered = core.BatchID(snap.Batch) + 1
+			// Only a *synced* snapshot counts: an accepted-but-unfsynced
+			// one would vanish with a crash, and the purged lineage with
+			// it.
+			if b, ok := d.ckpt.DurableBatch(key); ok {
+				covered = core.BatchID(b) + 1
 			}
 			if covered < wm {
 				wm = covered

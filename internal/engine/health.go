@@ -58,12 +58,27 @@ const healthMinSamples = 4
 // so a worker that recovers on its own walks back to Healthy.
 const healthForgiveStreak = 8
 
+// healthBlacklistRatio blacklists a worker whose service-time EWMA exceeds
+// this multiple of the cluster median (with enough samples); half the
+// ratio marks it degraded. Degraded workers get reduced placement weight,
+// blacklisted ones get none.
+const healthBlacklistRatio = 4.0
+
+// healthFailureThreshold blacklists a worker after this many unforgiven
+// failures/straggler flags.
+const healthFailureThreshold = 3
+
+// healthProbation is how long a blacklisted worker sits out before it is
+// retried (degraded weight); if it misbehaves again it is re-blacklisted
+// quickly.
+const healthProbation = 2 * time.Second
+
 // workerHealth is one worker's health ledger.
 type workerHealth struct {
 	ewma    *metrics.EWMA // service time, milliseconds
 	samples int
 	// failures and stragglers are "strikes"; their sum versus
-	// HealthFailureThreshold drives blacklisting. Successes slowly forgive
+	// healthFailureThreshold drives blacklisting. Successes slowly forgive
 	// them (healthForgiveStreak).
 	failures   int
 	stragglers int
@@ -192,7 +207,7 @@ func (wh *workerHealth) scoreLocked() float64 {
 // then strike- and EWMA-based transitions against the cluster median.
 func (h *healthTracker) reclassifyLocked(now time.Time) {
 	for _, wh := range h.workers {
-		if wh.state == WorkerBlacklisted && now.Sub(wh.sickSince) >= h.cfg.HealthProbation {
+		if wh.state == WorkerBlacklisted && now.Sub(wh.sickSince) >= healthProbation {
 			// Probation over: wipe the strikes and retry the worker at
 			// degraded weight. If it is still sick, strikes re-accumulate
 			// and it is re-blacklisted within a few observations.
@@ -219,8 +234,8 @@ func (h *healthTracker) reclassifyLocked(now time.Time) {
 			slowRatio = wh.ewma.Value() / med
 		}
 		switch {
-		case strikes >= h.cfg.HealthFailureThreshold ||
-			slowRatio > h.cfg.HealthBlacklistRatio:
+		case strikes >= healthFailureThreshold ||
+			slowRatio > healthBlacklistRatio:
 			if wh.state != WorkerBlacklisted {
 				wh.state = WorkerBlacklisted
 				wh.sickSince = now
@@ -228,7 +243,7 @@ func (h *healthTracker) reclassifyLocked(now time.Time) {
 			wh.probation = false
 		case wh.state == WorkerBlacklisted:
 			// Stays blacklisted until probation expires above.
-		case strikes >= 2 || slowRatio > h.cfg.HealthBlacklistRatio/2:
+		case strikes >= 2 || slowRatio > healthBlacklistRatio/2:
 			// A single unforgiven strike does NOT change the weight class: a
 			// task can be flagged as a straggler for transient reasons
 			// (queueing behind a congested boundary), and every weight change

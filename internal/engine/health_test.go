@@ -26,12 +26,12 @@ func TestHealthBlacklistOnStrikes(t *testing.T) {
 	cfg := healthTestConfig()
 	h := newHealthTracker(cfg)
 	now := time.Now()
-	for i := 0; i < cfg.HealthFailureThreshold; i++ {
+	for i := 0; i < healthFailureThreshold; i++ {
 		h.ObserveFailure("w0")
 	}
 	snap := h.Snapshot(now)
 	if snap["w0"].State != WorkerBlacklisted {
-		t.Fatalf("after %d failures state=%v, want blacklisted", cfg.HealthFailureThreshold, snap["w0"].State)
+		t.Fatalf("after %d failures state=%v, want blacklisted", healthFailureThreshold, snap["w0"].State)
 	}
 	w := h.Weights(now, []rpc.NodeID{"w0", "w1"})
 	if w["w0"] != 0 {
@@ -85,20 +85,20 @@ func TestHealthProbationReleaseAndRecovery(t *testing.T) {
 	cfg := healthTestConfig()
 	h := newHealthTracker(cfg)
 	start := time.Now()
-	for i := 0; i < cfg.HealthFailureThreshold; i++ {
+	for i := 0; i < healthFailureThreshold; i++ {
 		h.ObserveFailure("w0")
 	}
 	if st := h.Snapshot(start)["w0"].State; st != WorkerBlacklisted {
 		t.Fatalf("setup: state=%v, want blacklisted", st)
 	}
 	// Still inside probation: stays blacklisted.
-	mid := start.Add(cfg.HealthProbation / 2)
+	mid := start.Add(healthProbation / 2)
 	if st := h.Snapshot(mid)["w0"].State; st != WorkerBlacklisted {
 		t.Fatalf("inside probation state=%v, want blacklisted", st)
 	}
 	// Probation over: strikes wiped, but the worker re-enters at degraded
 	// weight, not full weight.
-	after := start.Add(cfg.HealthProbation + time.Millisecond)
+	after := start.Add(healthProbation + time.Millisecond)
 	snap := h.Snapshot(after)["w0"]
 	if snap.State != WorkerDegraded {
 		t.Fatalf("released worker state=%v, want degraded", snap.State)
@@ -143,7 +143,7 @@ func TestHealthPickSpeculative(t *testing.T) {
 	now := time.Now()
 	live := []rpc.NodeID{"w0", "w1", "w2"}
 	feedFast(h, "w0", "w1", "w2")
-	for i := 0; i < cfg.HealthFailureThreshold; i++ {
+	for i := 0; i < healthFailureThreshold; i++ {
 		h.ObserveFailure("w2")
 	}
 	// w0 is the straggler's host; w2 is blacklisted; w1 must be picked.
@@ -151,7 +151,7 @@ func TestHealthPickSpeculative(t *testing.T) {
 		t.Errorf("PickSpeculative = %q, want w1", got)
 	}
 	// Only the avoided worker remains eligible: no target.
-	for i := 0; i < cfg.HealthFailureThreshold; i++ {
+	for i := 0; i < healthFailureThreshold; i++ {
 		h.ObserveFailure("w1")
 	}
 	if got := h.PickSpeculative(now, live, "w0"); got != "" {
@@ -166,7 +166,7 @@ func TestHealthWeightsAllZeroFallsBackToUniform(t *testing.T) {
 	now := time.Now()
 	live := []rpc.NodeID{"w0", "w1"}
 	for _, id := range live {
-		for i := 0; i < cfg.HealthFailureThreshold; i++ {
+		for i := 0; i < healthFailureThreshold; i++ {
 			h.ObserveFailure(id)
 		}
 	}
@@ -183,7 +183,7 @@ func TestHealthRemoveForgets(t *testing.T) {
 	cfg := healthTestConfig()
 	h := newHealthTracker(cfg)
 	now := time.Now()
-	for i := 0; i < cfg.HealthFailureThreshold; i++ {
+	for i := 0; i < healthFailureThreshold; i++ {
 		h.ObserveFailure("w0")
 	}
 	h.Remove("w0")

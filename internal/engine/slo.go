@@ -21,10 +21,10 @@ const (
 	// sustain window — the cluster is not keeping up and not recovering.
 	SLOBacklogGrowing SLOEventKind = "backlog_growing"
 	// SLOLatencyBreach fires when per-batch latency sustains above
-	// SLOLatencyFactor times the job's window interval.
+	// sloLatencyFactor times the job's window interval.
 	SLOLatencyBreach SLOEventKind = "latency_slo_breach"
 	// SLOWorkerSaturated fires when one worker's shipped queue depth
-	// sustains at or above SLOQueueDepthMax.
+	// sustains at or above Config.sloQueueDepthMax.
 	SLOWorkerSaturated SLOEventKind = "worker_saturated"
 )
 
@@ -54,6 +54,8 @@ type sloWatcher struct {
 	log  *slog.Logger
 
 	breachCnt func(kind SLOEventKind) *metrics.Counter
+	sustain   int           // sloSustainTicks
+	cooldown  time.Duration // Config.sloCooldown
 
 	mu       sync.Mutex
 	interval time.Duration // job window interval; 0 until a run starts
@@ -63,6 +65,14 @@ type sloWatcher struct {
 
 const sloEventRing = 256
 
+// sloLatencyFactor flags a latency_slo_breach when per-batch latency
+// sustains above this multiple of the job's window interval.
+const sloLatencyFactor = 2.0
+
+// sloSustainTicks is how many consecutive history ticks a condition must
+// hold before the watcher raises it — one-tick spikes are noise.
+const sloSustainTicks = 3
+
 func newSLOWatcher(cfg Config, reg *metrics.Registry, hist *metrics.History, logger *slog.Logger) *sloWatcher {
 	return &sloWatcher{
 		cfg:  cfg,
@@ -71,6 +81,8 @@ func newSLOWatcher(cfg Config, reg *metrics.Registry, hist *metrics.History, log
 		breachCnt: func(kind SLOEventKind) *metrics.Counter {
 			return reg.Counter("drizzle_driver_slo_breaches_total", "kind", string(kind))
 		},
+		sustain:  sloSustainTicks,
+		cooldown: cfg.sloCooldown(),
 		lastEmit: make(map[string]time.Time),
 	}
 }
@@ -88,26 +100,27 @@ func (w *sloWatcher) evaluate(now time.Time) {
 	w.mu.Lock()
 	interval := w.interval
 	w.mu.Unlock()
-	sustain := w.cfg.SLOSustainTicks
+	sustain := w.sustain
+	minBacklog := float64(w.cfg.sloMinBacklog())
 
 	if backlog, ok := w.hist.Last(backlogGaugeName); ok &&
-		backlog >= float64(w.cfg.SLOMinBacklog) &&
+		backlog >= minBacklog &&
 		w.hist.Growing(backlogGaugeName, sustain+1) {
 		w.emit(SLOEvent{
 			Kind: SLOBacklogGrowing, Value: backlog,
-			Threshold: float64(w.cfg.SLOMinBacklog), At: now,
+			Threshold: minBacklog, At: now,
 		})
 	}
 
 	if interval > 0 {
-		limit := w.cfg.SLOLatencyFactor * float64(interval) / float64(time.Millisecond)
+		limit := sloLatencyFactor * float64(interval) / float64(time.Millisecond)
 		if w.hist.SustainedAtLeast(latencyGaugeName, sustain, limit) {
 			v, _ := w.hist.Last(latencyGaugeName)
 			w.emit(SLOEvent{Kind: SLOLatencyBreach, Value: v, Threshold: limit, At: now})
 		}
 	}
 
-	depthMax := float64(w.cfg.SLOQueueDepthMax)
+	depthMax := float64(w.cfg.sloQueueDepthMax())
 	for _, key := range w.hist.SeriesKeys(metrics.ClusterPrefix + queueDepthName) {
 		if !w.hist.SustainedAtLeast(key, sustain, depthMax) {
 			continue
@@ -127,7 +140,7 @@ func (w *sloWatcher) evaluate(now time.Time) {
 func (w *sloWatcher) emit(ev SLOEvent) {
 	dedup := string(ev.Kind) + "/" + string(ev.Worker)
 	w.mu.Lock()
-	if last, ok := w.lastEmit[dedup]; ok && ev.At.Sub(last) < w.cfg.SLOCooldown {
+	if last, ok := w.lastEmit[dedup]; ok && ev.At.Sub(last) < w.cooldown {
 		w.mu.Unlock()
 		return
 	}

@@ -9,15 +9,13 @@ import (
 
 func sloFixture(t *testing.T) (Config, *metrics.Registry, *metrics.History, *sloWatcher) {
 	t.Helper()
-	cfg := Config{
-		SlotsPerWorker:  2,
-		GroupSize:       2,
-		SLOSustainTicks: 3,
-		SLOCooldown:     time.Hour, // one emission per kind unless the test says otherwise
-	}.withDefaults()
+	cfg := Config{SlotsPerWorker: 2, GroupSize: 2}.withDefaults()
 	reg := metrics.NewRegistry()
 	hist := metrics.NewHistory(reg, 16)
-	return cfg, reg, hist, newSLOWatcher(cfg, reg, hist, nil)
+	w := newSLOWatcher(cfg, reg, hist, nil)
+	w.sustain = 3
+	w.cooldown = time.Hour // one emission per kind unless the test says otherwise
+	return cfg, reg, hist, w
 }
 
 func countKind(evs []SLOEvent, kind SLOEventKind) int {
@@ -31,7 +29,7 @@ func countKind(evs []SLOEvent, kind SLOEventKind) int {
 }
 
 func TestSLOWatcherLatencyBreach(t *testing.T) {
-	cfg, reg, hist, w := sloFixture(t)
+	_, reg, hist, w := sloFixture(t)
 	w.setInterval(100 * time.Millisecond) // SLO limit: 2x100ms = 200ms
 	lat := reg.Gauge(latencyGaugeName)
 	base := time.Unix(0, 0)
@@ -40,7 +38,7 @@ func TestSLOWatcherLatencyBreach(t *testing.T) {
 	lat.Set(500)
 	hist.Tick(base)
 	lat.Set(50)
-	for i := 1; i < cfg.SLOSustainTicks+1; i++ {
+	for i := 1; i < w.sustain+1; i++ {
 		hist.Tick(base.Add(time.Duration(i) * time.Second))
 	}
 	w.evaluate(base.Add(5 * time.Second))
@@ -50,7 +48,7 @@ func TestSLOWatcherLatencyBreach(t *testing.T) {
 
 	// Sustained breach across the window does.
 	lat.Set(450)
-	for i := 0; i < cfg.SLOSustainTicks; i++ {
+	for i := 0; i < w.sustain; i++ {
 		hist.Tick(base.Add(time.Duration(10+i) * time.Second))
 	}
 	w.evaluate(base.Add(20 * time.Second))
@@ -78,8 +76,8 @@ func TestSLOWatcherBacklogGrowing(t *testing.T) {
 	base := time.Unix(0, 0)
 
 	// Backlog large but flat: behind, not falling further behind.
-	backlog.Set(float64(cfg.SLOMinBacklog + 3))
-	for i := 0; i < cfg.SLOSustainTicks+2; i++ {
+	backlog.Set(float64(cfg.sloMinBacklog() + 3))
+	for i := 0; i < w.sustain+2; i++ {
 		hist.Tick(base.Add(time.Duration(i) * time.Second))
 	}
 	w.evaluate(base.Add(10 * time.Second))
@@ -88,8 +86,8 @@ func TestSLOWatcherBacklogGrowing(t *testing.T) {
 	}
 
 	// Monotone growth above the floor.
-	for i := 0; i < cfg.SLOSustainTicks+1; i++ {
-		backlog.Set(float64(cfg.SLOMinBacklog + 4 + i))
+	for i := 0; i < w.sustain+1; i++ {
+		backlog.Set(float64(cfg.sloMinBacklog() + 4 + i))
 		hist.Tick(base.Add(time.Duration(20+i) * time.Second))
 	}
 	w.evaluate(base.Add(30 * time.Second))
@@ -100,8 +98,8 @@ func TestSLOWatcherBacklogGrowing(t *testing.T) {
 	// Growth entirely below the floor never fires.
 	cfg2, reg2, hist2, w2 := sloFixture(t)
 	b2 := reg2.Gauge(backlogGaugeName)
-	for i := 0; i < cfg2.SLOSustainTicks+1; i++ {
-		b2.Set(float64(i) * float64(cfg2.SLOMinBacklog-1) / float64(cfg2.SLOSustainTicks))
+	for i := 0; i < w2.sustain+1; i++ {
+		b2.Set(float64(i) * float64(cfg2.sloMinBacklog()-1) / float64(w2.sustain))
 		hist2.Tick(base.Add(time.Duration(i) * time.Second))
 	}
 	w2.evaluate(base.Add(10 * time.Second))
@@ -116,8 +114,8 @@ func TestSLOWatcherWorkerSaturated(t *testing.T) {
 	hot := reg.Gauge(metrics.ClusterPrefix+queueDepthName, "worker", "w1")
 	cold := reg.Gauge(metrics.ClusterPrefix+queueDepthName, "worker", "w0")
 	base := time.Unix(0, 0)
-	for i := 0; i < cfg.SLOSustainTicks+1; i++ {
-		hot.Set(float64(cfg.SLOQueueDepthMax + 1))
+	for i := 0; i < w.sustain+1; i++ {
+		hot.Set(float64(cfg.sloQueueDepthMax() + 1))
 		cold.Set(0)
 		hist.Tick(base.Add(time.Duration(i) * time.Second))
 	}

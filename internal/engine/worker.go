@@ -18,6 +18,21 @@ import (
 	"drizzle/internal/trace"
 )
 
+const (
+	// shuffleServers is the number of goroutines serving shuffle fetch
+	// requests.
+	shuffleServers = 2
+	// shuffleQueue bounds the backlog of fetch requests awaiting service;
+	// overflow is dropped (the fetcher times out and the driver retries
+	// the task), matching the transport's shed-on-overload policy.
+	shuffleQueue = 1024
+	// metricFullShipEvery makes every Nth heartbeat carry the worker's
+	// entire series set instead of only series changed since the previous
+	// one. Full ships bound the staleness a dropped changed-only heartbeat
+	// can leave in the driver's mirror.
+	metricFullShipEvery = 8
+)
+
 // Worker is one executor node: it runs tasks in a fixed number of slots,
 // serves its shuffle blocks to peers, holds terminal-stage window state,
 // and hosts the local scheduler that makes pre-scheduling work.
@@ -98,7 +113,7 @@ func NewWorker(id, driver rpc.NodeID, net rpc.Network, reg *Registry, cfg Config
 		states: NewStateStore(),
 		jobs:   make(map[string]*jobInfo),
 		kills:  make(map[core.TaskAttempt]bool),
-		fetchQ: make(chan shuffle.FetchRequest, cfg.ShuffleQueue),
+		fetchQ: make(chan shuffle.FetchRequest, shuffleQueue),
 		stop:   make(chan struct{}),
 
 		killedCnt:    cfg.Metrics.Counter("drizzle_worker_tasks_killed_total", "worker", string(id)),
@@ -130,7 +145,7 @@ func (w *Worker) Start() error {
 		w.wg.Add(1)
 		go w.slotLoop()
 	}
-	for i := 0; i < w.cfg.ShuffleServers; i++ {
+	for i := 0; i < shuffleServers; i++ {
 		w.wg.Add(1)
 		go w.serveFetchLoop()
 	}
@@ -138,11 +153,9 @@ func (w *Worker) Start() error {
 	w.lastDriver = time.Now()
 	w.lastRegister = time.Now()
 	w.mu.Unlock()
-	if w.cfg.MetricShipEvery > 0 {
-		// The incarnation (process start time) lets the driver tell a
-		// restarted worker's fresh counters from stale ships of its past life.
-		w.shipper = newMetricShipper(w.cfg.Metrics, w.id, time.Now().UnixNano(), w.cfg.MetricFullShipEvery)
-	}
+	// The incarnation (process start time) lets the driver tell a
+	// restarted worker's fresh counters from stale ships of its past life.
+	w.shipper = newMetricShipper(w.cfg.Metrics, w.id, time.Now().UnixNano(), metricFullShipEvery)
 	w.send(w.driver, core.RegisterWorker{Worker: w.id, Addr: w.cfg.AdvertiseAddr})
 	w.wg.Add(1)
 	go w.heartbeatLoop()
@@ -182,7 +195,7 @@ func (w *Worker) heartbeatLoop() {
 	defer w.wg.Done()
 	t := time.NewTicker(w.cfg.HeartbeatInterval)
 	defer t.Stop()
-	beats := 0
+	reRegisterAfter := w.cfg.reRegisterAfter()
 	for {
 		select {
 		case <-w.stop:
@@ -193,10 +206,7 @@ func (w *Worker) heartbeatLoop() {
 			w.mQueueDepth.Set(float64(w.ls.QueueDepth()))
 			w.mPending.Set(float64(w.ls.PendingCount()))
 			hb := core.Heartbeat{Worker: w.id, Nanos: now.UnixNano()}
-			if w.shipper != nil && beats%w.cfg.MetricShipEvery == 0 {
-				w.shipper.collect(&hb)
-			}
-			beats++
+			w.shipper.collect(&hb)
 			w.send(w.driver, hb)
 			// Driver silence past the threshold suggests it restarted and
 			// no longer knows us (a live driver sends at least membership
@@ -204,8 +214,8 @@ func (w *Worker) heartbeatLoop() {
 			// transport already redials with exponential backoff underneath,
 			// so this is purely app-level re-admission.
 			w.mu.Lock()
-			stale := now.Sub(w.lastDriver) > w.cfg.ReRegisterAfter &&
-				now.Sub(w.lastRegister) > w.cfg.ReRegisterAfter
+			stale := now.Sub(w.lastDriver) > reRegisterAfter &&
+				now.Sub(w.lastRegister) > reRegisterAfter
 			if stale {
 				w.lastRegister = now
 			}

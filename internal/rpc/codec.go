@@ -2,9 +2,7 @@ package rpc
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -14,70 +12,25 @@ import (
 	"drizzle/internal/wire"
 )
 
-// Codec is the data-plane serialization seam. A codec owns both the stream
-// form used by the TCP transport (stateful encoder/decoder per connection)
-// and a value form used by the in-memory transport's round-trip mode and
-// the differential tests (encode one message to bytes, decode it back).
-//
-// Two implementations ship: Gob (the original reflection-based wire format,
-// kept as the fallback and as the differential oracle's reference) and
-// Binary (hand-rolled per-type encoding with pooled buffers, varint fields
-// and optional snappy compression — the default).
-type Codec interface {
-	// Name is the codec's flag/env spelling ("gob", "binary").
-	Name() string
-	// NewEncoder returns a stateful envelope encoder writing to w.
-	NewEncoder(w io.Writer) EnvelopeEncoder
-	// NewDecoder returns a stateful envelope decoder reading from r.
-	NewDecoder(r *bufio.Reader) EnvelopeDecoder
-	// EncodeMessage appends the value-form encoding of msg to dst.
-	EncodeMessage(dst []byte, msg any) ([]byte, error)
-	// DecodeMessage decodes one value-form message. The result never
-	// aliases b.
-	DecodeMessage(b []byte) (any, error)
-}
+// Codec is the wire codec: every message type that crosses a process
+// boundary registers a tag plus hand-rolled append/decode functions
+// (RegisterBinaryMessage), and Codec frames them. The TCP transport writes
+// its stream form (magic, then length-prefixed frames); the in-memory
+// transport's round-trip mode and the tests use the value form
+// (EncodeMessage/DecodeMessage: tag byte plus registered encoding).
+type Codec struct{}
 
-// EnvelopeEncoder writes framed (from, to, payload) envelopes to a stream.
-type EnvelopeEncoder interface {
-	Encode(from, to NodeID, msg any) error
-}
-
-// EnvelopeDecoder reads framed envelopes from a stream.
-type EnvelopeDecoder interface {
-	Decode() (from, to NodeID, msg any, err error)
-}
-
-// Gob is the reflection-based codec: the exact wire format the transport
-// spoke before the binary codec existed (a persistent gob stream of
-// envelope values, type dictionary sent once per connection).
-var Gob Codec = gobCodec{}
-
-// Binary is the hand-rolled framed codec and the transport default.
-var Binary Codec = binaryCodec{}
-
-// DefaultCodec is what TCPConfig resolves a nil Codec to.
-var DefaultCodec = Binary
-
-// CodecByName maps a -codec flag / CHAOS_CODEC value to a Codec.
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "binary":
-		return Binary, nil
-	case "gob":
-		return Gob, nil
-	default:
-		return nil, fmt.Errorf("rpc: unknown codec %q (want binary or gob)", name)
-	}
-}
+// DefaultCodec is the codec every transport speaks.
+var DefaultCodec Codec
 
 // ---------------------------------------------------------------------------
-// Binary message registry
+// Message registry
 
-// Hot message types register a tag plus hand-rolled append/decode functions
+// Message types register a tag plus hand-rolled append/decode functions
 // here (from init functions in the packages that define them — internal/core
 // and internal/shuffle). Tags are wire-stable bytes shared across processes:
 //
-//	0        reserved: gob-fallback for unregistered types
+//	0        reserved, never registered
 //	1..15    internal/core control-plane messages
 //	16..31   internal/shuffle data-plane messages
 //	32..     applications and tests
@@ -93,14 +46,14 @@ var (
 	binaryByTag  [256]*binarySpec
 )
 
-// RegisterBinaryMessage installs the binary codec's encoder and decoder for
-// the concrete type of prototype under tag. Tags and types must be unique;
+// RegisterBinaryMessage installs the codec's encoder and decoder for the
+// concrete type of prototype under tag. Tags and types must be unique;
 // call it from an init function. The append function receives a value of
 // exactly prototype's type; decode must return one and reject malformed
 // input with an error (the fuzz harness holds it to that).
 func RegisterBinaryMessage(tag byte, prototype any, append func(dst []byte, msg any) []byte, decode func(b []byte) (any, error)) {
 	if tag == 0 {
-		panic("rpc: binary tag 0 is reserved for the gob fallback")
+		panic("rpc: binary tag 0 is reserved")
 	}
 	t := reflect.TypeOf(prototype)
 	binaryMu.Lock()
@@ -131,72 +84,13 @@ func binarySpecForTag(tag byte) *binarySpec {
 }
 
 // ---------------------------------------------------------------------------
-// Gob codec
+// Framing
 
-// gobValue is the value-form wrapper: gob needs a concrete top-level type,
-// and encoding an interface field reuses the existing RegisterType universe.
-type gobValue struct {
-	V any
-}
-
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return "gob" }
-
-type gobStreamEncoder struct {
-	enc *gob.Encoder
-}
-
-func (e *gobStreamEncoder) Encode(from, to NodeID, msg any) error {
-	return e.enc.Encode(envelope{From: from, To: to, Payload: msg})
-}
-
-type gobStreamDecoder struct {
-	dec *gob.Decoder
-}
-
-func (d *gobStreamDecoder) Decode() (NodeID, NodeID, any, error) {
-	var env envelope
-	if err := d.dec.Decode(&env); err != nil {
-		return "", "", nil, err
-	}
-	return env.From, env.To, env.Payload, nil
-}
-
-func (gobCodec) NewEncoder(w io.Writer) EnvelopeEncoder {
-	return &gobStreamEncoder{enc: gob.NewEncoder(w)}
-}
-
-func (gobCodec) NewDecoder(r *bufio.Reader) EnvelopeDecoder {
-	return &gobStreamDecoder{dec: gob.NewDecoder(r)}
-}
-
-func (gobCodec) EncodeMessage(dst []byte, msg any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gobValue{V: msg}); err != nil {
-		return nil, err
-	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-func (gobCodec) DecodeMessage(b []byte) (any, error) {
-	var v gobValue
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		return nil, err
-	}
-	return v.V, nil
-}
-
-// ---------------------------------------------------------------------------
-// Binary codec
-
-// Binary connections open with a 4-byte magic so the receive side can tell
-// a binary peer from a gob one by peeking: gob's first stream byte is either
-// a small direct length (< 0x80) or a negated byte count (>= 0xF8), so 0xD7
-// can never begin a gob stream. After the magic, the stream is a sequence
-// of frames: uvarint body length, then the body — from and to as
-// length-prefixed strings, a type tag byte, and the registered (or
-// gob-fallback) encoding of the payload.
+// A connection opens with a 4-byte magic; a peer that does not is speaking
+// some other protocol and is disconnected. After the magic, the stream is a
+// sequence of frames: uvarint body length, then the body — from and to as
+// length-prefixed strings, a type tag byte, and the registered encoding of
+// the payload.
 var binaryMagic = [4]byte{0xD7, 'Z', 'B', 0x01}
 
 // maxFrameLen caps a frame body; a length prefix above it is rejected
@@ -227,53 +121,48 @@ func putFrameBuf(pb *[]byte) {
 	}
 }
 
-type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
-
-func (binaryCodec) EncodeMessage(dst []byte, msg any) ([]byte, error) {
-	if spec := binarySpecFor(msg); spec != nil {
-		dst = append(dst, spec.tag)
-		return spec.append(dst, msg), nil
+// EncodeMessage appends the value-form encoding of msg (tag byte plus the
+// registered encoding) to dst. A type with no registration is an error.
+func (Codec) EncodeMessage(dst []byte, msg any) ([]byte, error) {
+	spec := binarySpecFor(msg)
+	if spec == nil {
+		return nil, fmt.Errorf("rpc: no wire encoding registered for %T", msg)
 	}
-	// Fallback: tag 0 plus a self-contained gob encoding, so message types
-	// without a hand-rolled codec (tests, future experiments) still travel.
-	dst = append(dst, 0)
-	return Gob.EncodeMessage(dst, msg)
+	dst = append(dst, spec.tag)
+	return spec.append(dst, msg), nil
 }
 
-func (binaryCodec) DecodeMessage(b []byte) (any, error) {
+// DecodeMessage decodes one value-form message. The result never aliases b.
+func (Codec) DecodeMessage(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("%w: empty message", wire.ErrMalformed)
 	}
-	tag := b[0]
-	if tag == 0 {
-		return Gob.DecodeMessage(b[1:])
-	}
-	spec := binarySpecForTag(tag)
+	spec := binarySpecForTag(b[0])
 	if spec == nil {
-		return nil, fmt.Errorf("%w: unknown message tag %d", wire.ErrMalformed, tag)
+		return nil, fmt.Errorf("%w: unknown message tag %d", wire.ErrMalformed, b[0])
 	}
 	return spec.decode(b[1:])
 }
 
-type binaryStreamEncoder struct {
+// streamEncoder writes framed (from, to, payload) envelopes to one
+// connection, opening it with the magic.
+type streamEncoder struct {
 	w          io.Writer
 	wroteMagic bool
 	scratch    [binary.MaxVarintLen64]byte
 }
 
-func (binaryCodec) NewEncoder(w io.Writer) EnvelopeEncoder {
-	return &binaryStreamEncoder{w: w}
+func newStreamEncoder(w io.Writer) *streamEncoder {
+	return &streamEncoder{w: w}
 }
 
-func (e *binaryStreamEncoder) Encode(from, to NodeID, msg any) error {
+func (e *streamEncoder) Encode(from, to NodeID, msg any) error {
 	pb := getFrameBuf()
 	defer putFrameBuf(pb)
 	body := (*pb)[:0]
 	body = wire.AppendString(body, string(from))
 	body = wire.AppendString(body, string(to))
-	body, err := Binary.EncodeMessage(body, msg)
+	body, err := DefaultCodec.EncodeMessage(body, msg)
 	if err != nil {
 		return err
 	}
@@ -292,16 +181,18 @@ func (e *binaryStreamEncoder) Encode(from, to NodeID, msg any) error {
 	return err
 }
 
-type binaryStreamDecoder struct {
+// streamDecoder reads framed envelopes off one connection. Its first
+// Decode fails unless the stream opens with the magic.
+type streamDecoder struct {
 	r         *bufio.Reader
 	readMagic bool
 }
 
-func (binaryCodec) NewDecoder(r *bufio.Reader) EnvelopeDecoder {
-	return &binaryStreamDecoder{r: r}
+func newStreamDecoder(r *bufio.Reader) *streamDecoder {
+	return &streamDecoder{r: r}
 }
 
-func (d *binaryStreamDecoder) Decode() (NodeID, NodeID, any, error) {
+func (d *streamDecoder) Decode() (NodeID, NodeID, any, error) {
 	if !d.readMagic {
 		var m [4]byte
 		if _, err := io.ReadFull(d.r, m[:]); err != nil {
@@ -346,7 +237,7 @@ func decodeBinaryFrameBody(body []byte) (NodeID, NodeID, any, error) {
 	if err := r.Err(); err != nil {
 		return "", "", nil, err
 	}
-	msg, err := Binary.DecodeMessage(body[len(body)-r.Remaining():])
+	msg, err := DefaultCodec.DecodeMessage(body[len(body)-r.Remaining():])
 	if err != nil {
 		return "", "", nil, err
 	}

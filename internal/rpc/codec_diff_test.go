@@ -6,41 +6,76 @@ package rpc_test
 // implementation — it was the only wire format before the binary codec, so
 // "decodes to whatever gob decodes to" is the exact compatibility contract,
 // including gob's normalizations (zero-length slices and maps collapse to
-// nil). This test lives in an external test package so it can import
+// nil). The gob side lives here, in the test, and nowhere in the program.
+// This test lives in an external test package so it can import
 // internal/core and internal/shuffle, whose init functions register the
 // binary codecs for the real message types.
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"drizzle/internal/core"
 	"drizzle/internal/rpc"
 	"drizzle/internal/shuffle"
 )
 
-// streamRoundTrip pushes msgs through c's framed stream form and returns the
-// decoded payloads.
-func streamRoundTrip(t *testing.T, c rpc.Codec, msgs []any) []any {
+// gobValue wraps a message so gob encodes its interface-typed payload with
+// the concrete type name, as the gob transport did.
+type gobValue struct {
+	V any
+}
+
+func init() {
+	for _, m := range zeroValues {
+		gob.Register(m)
+	}
+}
+
+// gobRoundTrip is the reference: the value gob would have delivered.
+func gobRoundTrip(t *testing.T, msg any) any {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := c.NewEncoder(&buf)
+	if err := gob.NewEncoder(&buf).Encode(gobValue{V: msg}); err != nil {
+		t.Fatalf("gob encode %T: %v", msg, err)
+	}
+	var v gobValue
+	if err := gob.NewDecoder(&buf).Decode(&v); err != nil {
+		t.Fatalf("gob decode %T: %v", msg, err)
+	}
+	return v.V
+}
+
+// tcpRoundTrip sends msgs over one real TCP route and returns what the
+// receiving handler got, in order.
+func tcpRoundTrip(t *testing.T, msgs []any) []any {
+	t.Helper()
+	recv := rpc.NewTCPNetwork()
+	defer recv.Close()
+	got := make(chan any, len(msgs))
+	addr, err := recv.Listen("dst", "127.0.0.1:0", func(_ rpc.NodeID, m any) { got <- m })
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := rpc.NewTCPNetwork()
+	defer send.Close()
+	send.Announce("dst", addr)
 	for i, m := range msgs {
-		if err := enc.Encode("src", "dst", m); err != nil {
-			t.Fatalf("%s stream encode %d (%T): %v", c.Name(), i, m, err)
+		if err := send.Send("src", "dst", m); err != nil {
+			t.Fatalf("send %d (%T): %v", i, m, err)
 		}
 	}
-	dec := c.NewDecoder(bufio.NewReader(&buf))
 	out := make([]any, len(msgs))
-	for i := range msgs {
-		_, _, m, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("%s stream decode %d: %v", c.Name(), i, err)
+	for i := range out {
+		select {
+		case out[i] = <-got:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("message %d of %d not delivered", i, len(msgs))
 		}
-		out[i] = m
 	}
 	return out
 }
@@ -339,23 +374,23 @@ var zeroValues = []any{
 	core.RestoreState{}, shuffle.FetchRequest{}, shuffle.FetchResponse{},
 }
 
-func roundTripVia(t *testing.T, c rpc.Codec, msg any) any {
+func binaryRoundTrip(t *testing.T, msg any) any {
 	t.Helper()
-	b, err := c.EncodeMessage(nil, msg)
+	b, err := rpc.DefaultCodec.EncodeMessage(nil, msg)
 	if err != nil {
-		t.Fatalf("%s encode %T: %v", c.Name(), msg, err)
+		t.Fatalf("encode %T: %v", msg, err)
 	}
-	out, err := c.DecodeMessage(b)
+	out, err := rpc.DefaultCodec.DecodeMessage(b)
 	if err != nil {
-		t.Fatalf("%s decode %T: %v", c.Name(), msg, err)
+		t.Fatalf("decode %T: %v", msg, err)
 	}
 	return out
 }
 
 func assertEquivalent(t *testing.T, msg any) {
 	t.Helper()
-	viaBinary := roundTripVia(t, rpc.Binary, msg)
-	viaGob := roundTripVia(t, rpc.Gob, msg)
+	viaBinary := binaryRoundTrip(t, msg)
+	viaGob := gobRoundTrip(t, msg)
 	if !reflect.DeepEqual(viaBinary, viaGob) {
 		t.Errorf("codec divergence for %T:\n input: %+v\nbinary: %+v\n   gob: %+v",
 			msg, msg, viaBinary, viaGob)
@@ -381,8 +416,8 @@ func TestCodecDifferential(t *testing.T) {
 }
 
 // TestCodecDifferentialStream runs the same oracle through the stream form:
-// a mixed sequence of every message type encoded and decoded as framed
-// envelopes must come back equal under both codecs.
+// a mixed sequence of every message type sent over a real TCP route must
+// arrive equal to its gob round trip.
 func TestCodecDifferentialStream(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	var msgs []any
@@ -391,13 +426,10 @@ func TestCodecDifferentialStream(t *testing.T) {
 			msgs = append(msgs, gen(r))
 		}
 	}
-	for _, c := range []rpc.Codec{rpc.Gob, rpc.Binary} {
-		decoded := streamRoundTrip(t, c, msgs)
-		for i := range msgs {
-			want := roundTripVia(t, rpc.Gob, msgs[i]) // gob-normalized reference
-			if !reflect.DeepEqual(decoded[i], want) {
-				t.Errorf("%s stream message %d (%T) diverged", c.Name(), i, msgs[i])
-			}
+	decoded := tcpRoundTrip(t, msgs)
+	for i := range msgs {
+		if want := gobRoundTrip(t, msgs[i]); !reflect.DeepEqual(decoded[i], want) {
+			t.Errorf("stream message %d (%T) diverged", i, msgs[i])
 		}
 	}
 }

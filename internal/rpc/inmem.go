@@ -25,14 +25,14 @@ type InMemConfig struct {
 	// Seed seeds the jitter source; 0 means a fixed default seed so runs
 	// are reproducible.
 	Seed int64
-	// Codec, when set, round-trips every message through the codec's value
-	// encoding before delivery: the handler receives Decode(Encode(msg))
-	// instead of the sender's value. The in-process transport normally
-	// passes pointers untouched; with a codec installed it exercises the
-	// exact serialization the TCP transport would, which is how the chaos
-	// harness machine-checks codec equivalence under faults (CHAOS_CODEC).
+	// RoundTrip, when set, passes every message through the wire codec's
+	// value encoding before delivery: the handler receives
+	// Decode(Encode(msg)) instead of the sender's value. The in-process
+	// transport normally passes values untouched; round-tripping exercises
+	// the exact serialization the TCP transport would, which is how the
+	// chaos harness checks that the codec changes no verdict under faults.
 	// Encoded size also replaces the Sizer estimate for bandwidth charging.
-	Codec Codec
+	RoundTrip bool
 }
 
 // EC2LikeConfig returns the configuration used by the end-to-end streaming
@@ -200,14 +200,14 @@ func (n *InMemNetwork) Unregister(id NodeID) {
 // Send implements Network.
 func (n *InMemNetwork) Send(from, to NodeID, msg any) error {
 	wireBytes := -1
-	if c := n.cfg.Codec; c != nil {
-		b, err := c.EncodeMessage(nil, msg)
+	if n.cfg.RoundTrip {
+		b, err := DefaultCodec.EncodeMessage(nil, msg)
 		if err != nil {
-			return fmt.Errorf("rpc: %s encode %T: %w", c.Name(), msg, err)
+			return fmt.Errorf("rpc: encode %T: %w", msg, err)
 		}
-		decoded, err := c.DecodeMessage(b)
+		decoded, err := DefaultCodec.DecodeMessage(b)
 		if err != nil {
-			return fmt.Errorf("rpc: %s decode %T: %w", c.Name(), msg, err)
+			return fmt.Errorf("rpc: decode %T: %w", msg, err)
 		}
 		msg = decoded
 		wireBytes = len(b)

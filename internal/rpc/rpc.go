@@ -2,8 +2,8 @@
 // interface with two implementations — an in-process transport with
 // configurable latency, jitter and bandwidth (used to emulate a cluster's
 // control-plane costs on one machine, and to inject failures in tests) and a
-// real TCP transport with a gob codec (used by the cmd/drizzle-worker and
-// cmd/drizzle-driver daemons).
+// real TCP transport with a hand-rolled binary codec (used by the
+// cmd/drizzle-worker and cmd/drizzle-driver daemons).
 //
 // The transport is deliberately one-way message passing, not request/reply:
 // the Drizzle protocols (asynchronous task status updates, worker-to-worker

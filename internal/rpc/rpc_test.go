@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"drizzle/internal/wire"
 )
 
 type testMsg struct {
@@ -18,7 +20,13 @@ type bigMsg struct {
 func (b bigMsg) WireSize() int { return b.N }
 
 func init() {
-	RegisterType(testMsg{})
+	RegisterBinaryMessage(32, testMsg{},
+		func(dst []byte, msg any) []byte { return wire.AppendVarint(dst, int64(msg.(testMsg).Seq)) },
+		func(b []byte) (any, error) {
+			r := wire.NewReader(b)
+			m := testMsg{Seq: r.Int()}
+			return m, r.Done()
+		})
 }
 
 func TestInMemDelivery(t *testing.T) {

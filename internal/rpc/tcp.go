@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -22,14 +21,6 @@ type envelope struct {
 	From    NodeID
 	To      NodeID
 	Payload any
-}
-
-// RegisterType registers a concrete message type with the gob codec so it
-// can travel through interface-typed envelope payloads. Call it once per
-// message type, typically from an init function in the package defining the
-// messages.
-func RegisterType(v any) {
-	gob.Register(v)
 }
 
 // TCPConfig tunes the TCP transport. The zero value is not usable; start
@@ -54,7 +45,7 @@ type TCPConfig struct {
 	// RedialBackoffMax caps the exponential redial backoff.
 	RedialBackoffMax time.Duration
 	// WriteBuffer is the size of the per-connection bufio.Writer that
-	// coalesces gob frames into fewer, larger syscalls.
+	// coalesces frames into fewer, larger syscalls.
 	WriteBuffer int
 	// InboundQueue is the per-connection delivery queue capacity. Socket
 	// decoding is decoupled from handler execution through this queue; when
@@ -62,12 +53,6 @@ type TCPConfig struct {
 	// counted (InboundDropped) and dropped, like the in-memory transport's
 	// injected faults — never blocking the decode loop.
 	InboundQueue int
-	// Codec is the wire codec used for *outbound* connections (nil means
-	// DefaultCodec, the binary codec). Inbound connections auto-detect the
-	// peer's codec from its stream preamble, so nodes configured with
-	// different codecs still interoperate — which is what lets a cluster be
-	// flipped between gob and binary one process at a time.
-	Codec Codec
 
 	// Metrics is the registry the transport counters register into
 	// (drizzle_rpc_*). Nil-safe: without a registry the counters still work
@@ -113,9 +98,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	}
 	if c.InboundQueue <= 0 {
 		c.InboundQueue = d.InboundQueue
-	}
-	if c.Codec == nil {
-		c.Codec = DefaultCodec
 	}
 	return c
 }
@@ -250,7 +232,7 @@ type tcpConn struct {
 	mu      sync.Mutex
 	c       net.Conn
 	bw      *bufio.Writer
-	enc     EnvelopeEncoder
+	enc     *streamEncoder
 	waiters atomic.Int32
 	closed  atomic.Bool
 	// deadline is the currently armed write deadline. Re-arming the kernel
@@ -273,9 +255,9 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-func newTCPConn(c net.Conn, bufSize int, codec Codec, writes *metrics.Counter) *tcpConn {
+func newTCPConn(c net.Conn, bufSize int, writes *metrics.Counter) *tcpConn {
 	bw := bufio.NewWriterSize(countingWriter{w: c, writes: writes}, bufSize)
-	return &tcpConn{c: c, bw: bw, enc: codec.NewEncoder(bw)}
+	return &tcpConn{c: c, bw: bw, enc: newStreamEncoder(bw)}
 }
 
 // close severs the socket. It deliberately does not take mu: a writer stuck
@@ -428,11 +410,8 @@ func (n *TCPNetwork) accept(tl *tcpListener) {
 // decode loop — and with it the peer's control messages on other routes.
 // Queue overflow is shed: counted and dropped, exactly like the in-memory
 // transport's injected message loss, which every protocol above already
-// tolerates.
-//
-// The peer's codec is sniffed from the stream preamble (binary connections
-// open with a magic gob can never produce), so the receive side needs no
-// configuration and mixed-codec clusters interoperate.
+// tolerates. A peer whose stream does not open with the magic fails the
+// first decode and is logged and disconnected before anything is delivered.
 func (n *TCPNetwork) serveConn(tl *tcpListener, c net.Conn) {
 	defer n.wg.Done()
 	defer tl.untrack(c)
@@ -449,12 +428,7 @@ func (n *TCPNetwork) serveConn(tl *tcpListener, c net.Conn) {
 	defer close(queue)
 
 	warned := false
-	br := bufio.NewReaderSize(c, 64<<10)
-	codec := Codec(Gob)
-	if m, err := br.Peek(len(binaryMagic)); err == nil && [4]byte(m) == binaryMagic {
-		codec = Binary
-	}
-	dec := codec.NewDecoder(br)
+	dec := newStreamDecoder(bufio.NewReaderSize(c, 64<<10))
 	for {
 		from, _, msg, err := dec.Decode()
 		if err != nil {
@@ -615,7 +589,7 @@ func (n *TCPNetwork) dial(key routeKey, addr string) (*tcpConn, error) {
 		n.dialErrors.Inc()
 		return nil, fmt.Errorf("rpc: dial %s (%s): %w", key.to, addr, err)
 	}
-	conn := newTCPConn(c, n.cfg.WriteBuffer, n.cfg.Codec, n.socketWrites)
+	conn := newTCPConn(c, n.cfg.WriteBuffer, n.socketWrites)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()

@@ -1,15 +1,18 @@
 package rpc
 
 import (
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"drizzle/internal/obs"
+	"drizzle/internal/wire"
 )
 
 // padMsg is a payload big enough to wedge socket buffers quickly.
@@ -19,7 +22,52 @@ type padMsg struct {
 }
 
 func init() {
-	RegisterType(padMsg{})
+	RegisterBinaryMessage(33, padMsg{},
+		func(dst []byte, msg any) []byte {
+			m := msg.(padMsg)
+			dst = wire.AppendVarint(dst, int64(m.Seq))
+			return wire.AppendBytes(dst, m.Pad)
+		},
+		func(b []byte) (any, error) {
+			r := wire.NewReader(b)
+			m := padMsg{Seq: r.Int(), Pad: r.Bytes()}
+			return m, r.Done()
+		})
+}
+
+// TestTCPRejectsPeerWithoutMagic dials a node and speaks gob, the wire
+// format before the binary codec: the stream does not open with the magic,
+// so the node must drop the connection and deliver nothing.
+func TestTCPRejectsPeerWithoutMagic(t *testing.T) {
+	n := NewTCPNetwork()
+	defer n.Close()
+	n.log = obs.Discard()
+	var delivered atomic.Int32
+	addr, err := n.Listen("server", "127.0.0.1:0", func(NodeID, any) { delivered.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	gob.Register(testMsg{})
+	enc := gob.NewEncoder(c)
+	for i := 0; i < 3; i++ {
+		if err := enc.Encode(envelope{From: "client", To: "server", Payload: testMsg{Seq: i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection still open after a stream without the magic: %v", err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := delivered.Load(); got != 0 {
+		t.Fatalf("handler received %d messages from a peer without the magic", got)
+	}
 }
 
 // freeAddr reserves an ephemeral port and returns it unbound — the usual

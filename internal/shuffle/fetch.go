@@ -43,12 +43,6 @@ func (f FetchResponse) WireSize() int {
 	return n
 }
 
-func init() {
-	rpc.RegisterType(FetchRequest{})
-	rpc.RegisterType(FetchResponse{})
-	rpc.RegisterType(Block{})
-}
-
 // SendFunc abstracts the transport for the shuffle service and fetcher.
 type SendFunc func(to rpc.NodeID, msg any) error
 

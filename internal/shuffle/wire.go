@@ -6,7 +6,7 @@ import (
 )
 
 // Hand-rolled binary codecs for the shuffle data plane, registered with the
-// rpc binary codec. This is the hot path the codec seam exists for: a
+// rpc codec. This is the hot path the codec exists for: a
 // FetchResponse's block bytes are appended to the frame verbatim — the
 // stored (already-encoded, already-compressed) block is served without
 // touching a single record. Compression happens once, in Store.Put (the

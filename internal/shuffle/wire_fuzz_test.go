@@ -15,22 +15,22 @@ import (
 
 func fuzzShuffleDecode(f *testing.F, tag byte, seeds []any) {
 	for _, msg := range seeds {
-		b, err := rpc.Binary.EncodeMessage(nil, msg)
+		b, err := rpc.DefaultCodec.EncodeMessage(nil, msg)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b[1:])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		msg, err := rpc.Binary.DecodeMessage(append([]byte{tag}, b...))
+		msg, err := rpc.DefaultCodec.DecodeMessage(append([]byte{tag}, b...))
 		if err != nil {
 			return
 		}
-		enc, err := rpc.Binary.EncodeMessage(nil, msg)
+		enc, err := rpc.DefaultCodec.EncodeMessage(nil, msg)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		again, err := rpc.Binary.DecodeMessage(enc)
+		again, err := rpc.DefaultCodec.DecodeMessage(enc)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}

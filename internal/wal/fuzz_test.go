@@ -15,8 +15,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add(frame([]byte("hello")))
 	f.Add(append(frame([]byte("a")), frame([]byte("bb"))...))
 	f.Add(frame(nil))
-	f.Add([]byte{0x03, 'a', 'b'})                          // torn mid-frame
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff})      // huge length
+	f.Add([]byte{0x03, 'a', 'b'})                     // torn mid-frame
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // huge length
 	bad := frame([]byte("xyz"))
 	bad[len(bad)-1] ^= 0x01
 	f.Add(bad) // bad CRC at tail
