@@ -2,9 +2,7 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing thread-safe counter.
@@ -39,60 +37,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current value (0 before any Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Stopwatch accumulates wall time spent in named phases. The Drizzle driver
-// uses one to split a group's elapsed time into "coordination" (scheduling,
-// serialization, barrier waits) versus "execution", which feeds the AIMD
-// group-size tuner (Section 3.4).
-type Stopwatch struct {
-	mu    sync.Mutex
-	total map[string]time.Duration
-}
-
-// NewStopwatch returns an empty stopwatch.
-func NewStopwatch() *Stopwatch {
-	return &Stopwatch{total: make(map[string]time.Duration)}
-}
-
-// Record adds d to the accumulated time for phase.
-func (s *Stopwatch) Record(phase string, d time.Duration) {
-	s.mu.Lock()
-	s.total[phase] += d
-	s.mu.Unlock()
-}
-
-// Time runs fn and records its wall-clock duration under phase.
-func (s *Stopwatch) Time(phase string, fn func()) {
-	start := time.Now()
-	fn()
-	s.Record(phase, time.Since(start))
-}
-
-// Total returns the accumulated time for phase.
-func (s *Stopwatch) Total(phase string) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total[phase]
-}
-
-// Snapshot returns a copy of all phase totals, so callers can enumerate
-// phases without reaching into the stopwatch's internals.
-func (s *Stopwatch) Snapshot() map[string]time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]time.Duration, len(s.total))
-	for k, v := range s.total {
-		out[k] = v
-	}
-	return out
-}
-
-// Reset zeroes all phases.
-func (s *Stopwatch) Reset() {
-	s.mu.Lock()
-	s.total = make(map[string]time.Duration)
-	s.mu.Unlock()
-}
 
 // EWMA is an exponentially weighted moving average. The group-size tuner
 // smooths scheduling-overhead measurements with one so that transient

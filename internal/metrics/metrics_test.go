@@ -169,23 +169,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	s := NewStopwatch()
-	s.Record("sched", 10*time.Millisecond)
-	s.Record("sched", 5*time.Millisecond)
-	if s.Total("sched") != 15*time.Millisecond {
-		t.Fatalf("Total = %v", s.Total("sched"))
-	}
-	s.Time("exec", func() { time.Sleep(time.Millisecond) })
-	if s.Total("exec") < time.Millisecond {
-		t.Fatalf("Time recorded %v, want >= 1ms", s.Total("exec"))
-	}
-	s.Reset()
-	if s.Total("sched") != 0 {
-		t.Fatal("Reset did not clear phases")
-	}
-}
-
 func TestEWMAConverges(t *testing.T) {
 	e := NewEWMA(0.5)
 	for i := 0; i < 50; i++ {

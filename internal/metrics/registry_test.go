@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestKeyCanonical(t *testing.T) {
@@ -215,21 +214,5 @@ func TestHistogramEmptyQuantileDefined(t *testing.T) {
 	h.ObserveMillis(4)
 	if v, ok := h.QuantileOK(0.5); !ok || v != 4 {
 		t.Fatalf("QuantileOK after one sample = (%v, %v)", v, ok)
-	}
-}
-
-func TestStopwatchSnapshot(t *testing.T) {
-	sw := NewStopwatch()
-	sw.Record("coord", 10*time.Millisecond)
-	sw.Record("exec", 30*time.Millisecond)
-	sw.Record("coord", 5*time.Millisecond)
-	snap := sw.Snapshot()
-	if snap["coord"] != 15*time.Millisecond || snap["exec"] != 30*time.Millisecond {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	// The snapshot is a copy: mutating it must not touch the stopwatch.
-	snap["coord"] = 0
-	if sw.Total("coord") != 15*time.Millisecond {
-		t.Fatal("snapshot aliases stopwatch internals")
 	}
 }
