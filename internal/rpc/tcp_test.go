@@ -56,8 +56,10 @@ func TestTCPRejectsPeerWithoutMagic(t *testing.T) {
 	gob.Register(testMsg{})
 	enc := gob.NewEncoder(c)
 	for i := 0; i < 3; i++ {
+		// A write can fail once the node has read the first bytes and
+		// dropped the connection; the read below checks that it did.
 		if err := enc.Encode(envelope{From: "client", To: "server", Payload: testMsg{Seq: i}}); err != nil {
-			t.Fatal(err)
+			break
 		}
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
