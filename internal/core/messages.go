@@ -59,10 +59,38 @@ type CancelTasks struct {
 // map output tells a downstream worker the dependency is satisfied and
 // where to fetch it from. Sent worker-to-worker; the driver also relays it
 // for tasks it re-schedules during recovery.
+//
+// Blocks carries the stored bytes of the output's small blocks (below
+// shuffle.SmallBlock) for the reduce partitions the receiver owns, so their
+// consumers need no fetch. Only the producer's own notification carries
+// any; the driver's relay carries none, and neither does a notification of
+// an output whose blocks are all large.
 type DataReady struct {
 	Dep    Dep
 	Holder rpc.NodeID
 	Size   int64
+	Blocks []ReadyBlock
+}
+
+// ReadyBlock is one block pushed inside a DataReady: the bytes the holder
+// stored for reduce partition Partition of the notified dependency.
+type ReadyBlock struct {
+	Partition int
+	Data      []byte
+}
+
+// WireSize implements rpc.Sizer: a notification without blocks is charged
+// the transport's default (0 asks for it), one with blocks their bytes on
+// top of that.
+func (d DataReady) WireSize() int {
+	if len(d.Blocks) == 0 {
+		return 0
+	}
+	n := 256
+	for _, b := range d.Blocks {
+		n += 8 + len(b.Data)
+	}
+	return n
 }
 
 // KillTask tells a worker to abandon specific task attempts: dequeue them

@@ -259,11 +259,30 @@ func init() {
 			m := msg.(DataReady)
 			dst = appendDep(dst, m.Dep)
 			dst = wire.AppendString(dst, string(m.Holder))
-			return wire.AppendVarint(dst, m.Size)
+			dst = wire.AppendVarint(dst, m.Size)
+			// Blocks are an optional tail, absent when empty: a notification
+			// without blocks is byte-identical to the layout before them.
+			if len(m.Blocks) == 0 {
+				return dst
+			}
+			dst = wire.AppendUvarint(dst, uint64(len(m.Blocks)))
+			for _, blk := range m.Blocks {
+				dst = wire.AppendVarint(dst, int64(blk.Partition))
+				dst = wire.AppendBytes(dst, blk.Data)
+			}
+			return dst
 		},
 		func(b []byte) (any, error) {
 			r := wire.NewReader(b)
 			m := DataReady{Dep: readDep(r), Holder: rpc.NodeID(r.String()), Size: r.Varint()}
+			if r.Remaining() > 0 {
+				if n := r.Count(2); n > 0 { // min element: 1B partition + 1B length
+					m.Blocks = make([]ReadyBlock, n)
+					for i := range m.Blocks {
+						m.Blocks[i] = ReadyBlock{Partition: r.Int(), Data: r.Bytes()}
+					}
+				}
+			}
 			return m, r.Done()
 		})
 

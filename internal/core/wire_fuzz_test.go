@@ -105,6 +105,17 @@ func FuzzDecodeCheckpointData(f *testing.F) {
 	})
 }
 
+func FuzzDecodeDataReady(f *testing.F) {
+	dep := Dep{Job: "wordcount", Batch: 7, Stage: 0, MapPartition: 1}
+	fuzzTaggedDecode(f, tagDataReady, []any{
+		DataReady{Dep: dep, Holder: "w1", Size: 120},
+		DataReady{Dep: dep, Holder: "w1", Size: 120, Blocks: []ReadyBlock{
+			{Partition: 2, Data: []byte{0xFF, 0xFF, 0xFF, 0xFF, 3, 1}},
+			{Partition: 5, Data: []byte("block")},
+		}},
+	})
+}
+
 // TestBinaryFixedPointRandom complements the fuzzers with a quick seeded
 // sweep so the fixed-point property is checked on every plain `go test` run,
 // not only under -fuzz.

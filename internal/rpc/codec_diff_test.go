@@ -265,7 +265,18 @@ var generators = map[string]func(r *rand.Rand) any{
 		return m
 	},
 	"DataReady": func(r *rand.Rand) any {
-		return core.DataReady{Dep: genDep(r), Holder: genNodeID(r), Size: genInt64(r)}
+		m := core.DataReady{Dep: genDep(r), Holder: genNodeID(r), Size: genInt64(r)}
+		switch n := r.Intn(5); n {
+		case 0: // no blocks: the layout before blocks existed
+		case 1:
+			m.Blocks = []core.ReadyBlock{} // gob collapses this to nil; binary must match
+		default:
+			m.Blocks = make([]core.ReadyBlock, n-1)
+			for i := range m.Blocks {
+				m.Blocks[i] = core.ReadyBlock{Partition: int(genInt64(r)), Data: genBytes(r)}
+			}
+		}
+		return m
 	},
 	"TaskStatus": func(r *rand.Rand) any {
 		m := core.TaskStatus{

@@ -129,6 +129,17 @@ func TestWireMatchesGolden(t *testing.T) {
 		core.TakeCheckpoint{Job: "yahoo", UpTo: 39},
 		core.DataReady{Dep: core.Dep{Job: "yahoo", Batch: 41, MapPartition: 3}, Holder: "w1", Size: 4096})
 	lines = append(lines, fmt.Sprintf("tcp-stream magic=%x len=%d sha256=%s", stream[:min(4, len(stream))], len(stream), digest(stream)))
+	// Written after the lines above, when DataReady gained its optional
+	// blocks tail: the one above without blocks did not change.
+	pushed := core.DataReady{
+		Dep: core.Dep{Job: "yahoo", Batch: 41, Stage: 0, MapPartition: 3}, Holder: "w1", Size: 4096,
+		Blocks: []core.ReadyBlock{{Partition: 5, Data: []byte("five")}, {Partition: 7, Data: []byte{0xFF, 0, 7}}},
+	}
+	b, err := rpc.DefaultCodec.EncodeMessage(nil, pushed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = append(lines, fmt.Sprintf("%T+blocks=%d tag=%d len=%d sha256=%s", pushed, len(pushed.Blocks), b[0], len(b), digest(b)))
 	got := strings.Join(lines, "\n") + "\n"
 
 	want, err := os.ReadFile("testdata/golden_wire.txt")

@@ -11,8 +11,9 @@ import (
 )
 
 // FetchRequest asks the holder of map-output blocks for their bytes. It is
-// the "pull" half of the push-metadata/pull-data design: the downstream
-// task controls when data moves.
+// the "pull" half of the push-small/pull-large design: a downstream task
+// pulls a large block when it activates, and a small one whose push it
+// never received.
 type FetchRequest struct {
 	ID     uint64
 	From   rpc.NodeID

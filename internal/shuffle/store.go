@@ -1,9 +1,9 @@
 // Package shuffle implements the data plane between stages: a worker-local
 // block store for map outputs, the map-side combiner (§3.5's
-// within-a-batch optimization), and the push-metadata/pull-data fetch
-// protocol that pre-scheduling (§3.2) relies on — upstream tasks notify
-// downstream workers that blocks exist, and downstream tasks pull the bytes
-// when they activate.
+// within-a-batch optimization), and the fetch protocol that pre-scheduling
+// (§3.2) relies on — upstream tasks notify downstream workers that blocks
+// exist, carrying the bytes of the small ones (below SmallBlock) in the
+// notification, and downstream tasks pull the large ones when they activate.
 package shuffle
 
 import (
@@ -63,7 +63,7 @@ func (s *Store) gaugesLocked() {
 }
 
 // Put encodes recs (block format v2, snappy-compressed above
-// blockCompressThreshold) and stores them under id, returning the stored
+// SmallBlock) and stores them under id, returning the stored
 // size. Re-putting a block (recovery re-runs a map task) overwrites it. The
 // stored bytes are what remote fetchers receive verbatim: encoding — and
 // compression — happens exactly once, here, never on the serving path.
@@ -99,7 +99,7 @@ func NewBlockWriter(s *Store) *BlockWriter { return &BlockWriter{store: s} }
 func (w *BlockWriter) Put(id BlockID, recs []data.Record, idx []uint32) int {
 	w.enc = data.AppendColumnar(w.enc[:0], recs, idx)
 	block := w.enc
-	if len(block) >= blockCompressThreshold {
+	if len(block) >= SmallBlock {
 		var ok bool
 		if w.comp, ok = data.AppendCompressed(w.comp[:0], block); ok {
 			block = w.comp

@@ -19,10 +19,13 @@ const (
 	tagFetchResponse = 17
 )
 
-// blockCompressThreshold is the encoded-block size at which Store.Put
-// switches to the compressed batch format. Small blocks are not worth the
-// CPU; large ones — a hot key repeats as the same eight bytes — are.
-const blockCompressThreshold = 4 << 10
+// SmallBlock is the line between small and large blocks. An encoding this
+// size or larger is stored compressed by Store.Put: small blocks are not
+// worth the CPU, large ones — a hot key repeats as the same eight bytes —
+// are. A block stored below it is pushed to its consumer inside the
+// producer's DataReady; one at or above it is pulled with a FetchRequest.
+// A block not worth compressing is not worth a round trip either.
+const SmallBlock = 4 << 10
 
 func appendBlockID(dst []byte, id BlockID) []byte {
 	dst = wire.AppendString(dst, id.Job)
