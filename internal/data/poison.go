@@ -30,3 +30,49 @@ func (x *PartitionIndex) Scribble() {
 		}
 	}
 }
+
+// Scribble overwrites the encoder's scratch, to its full capacity: the key
+// table with entries that point past the dictionary, the dictionary, the
+// indices and the time column with garbage. An encoding that read any of
+// it before writing it would come out wrong or panic.
+func (e *Encoder) Scribble() {
+	for _, s := range [][]uint32{e.slots[:cap(e.slots)], e.ids[:cap(e.ids)]} {
+		for i := range s {
+			s[i] = ^uint32(0)
+		}
+	}
+	dict := e.dict[:cap(e.dict)]
+	for i := range dict {
+		dict[i] = PoisonedRecord.Key
+	}
+	times := e.times[:cap(e.times)]
+	for i := range times {
+		times[i] = 0xDB
+	}
+}
+
+// Poisoned reports whether the encoder's scratch holds anything and all of
+// it reads as Scribble left it.
+func (e *Encoder) Poisoned() bool {
+	if cap(e.slots) == 0 || cap(e.dict) == 0 || cap(e.times) == 0 {
+		return false
+	}
+	for _, s := range [][]uint32{e.slots[:cap(e.slots)], e.ids[:cap(e.ids)]} {
+		for _, v := range s {
+			if v != ^uint32(0) {
+				return false
+			}
+		}
+	}
+	for _, k := range e.dict[:cap(e.dict)] {
+		if k != PoisonedRecord.Key {
+			return false
+		}
+	}
+	for _, b := range e.times[:cap(e.times)] {
+		if b != 0xDB {
+			return false
+		}
+	}
+	return true
+}

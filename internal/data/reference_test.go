@@ -7,12 +7,13 @@ import (
 	"drizzle/internal/snappy"
 )
 
-// referenceDecodeBatch is an independent decoder for block format v2: one
-// pass front to back that validates while it materialises, written from the
-// layout in encode.go and sharing no code with OpenBatch, skipVarints,
-// BatchIter or AppendTo. The differential and fuzz tests hold the streaming
-// reader to it — same accept/reject verdict, same records, same byte count —
-// so it stays this plain, slow allocations and all.
+// referenceDecodeBatch is an independent decoder for block format v2, raw or
+// dictionary keys: one pass front to back that validates while it
+// materialises, written from the layout in encode.go and sharing no code
+// with OpenBatch, skipVarints, skipIndices, BatchIter or AppendTo. The
+// differential and fuzz tests hold the streaming reader to it — same
+// accept/reject verdict, same records, same byte count — so it stays this
+// plain, slow allocations and all.
 func referenceDecodeBatch(b []byte) ([]Record, int, error) {
 	errRef := errors.New("reference: corrupt batch")
 	if len(b) < 5 || binary.LittleEndian.Uint32(b) != formatSentinel {
@@ -63,14 +64,42 @@ func referenceDecodeV2(b []byte) ([]Record, int, error) {
 	}
 	flags := b[off]
 	off++
-	constVal, payloads := flags&1 != 0, flags&2 != 0
-	if flags > 3 || c > uint64(len(b)-off)/8 {
+	constVal, payloads, dictKeys := flags&1 != 0, flags&2 != 0, flags&4 != 0
+	if flags > 7 {
 		return nil, 0, errRef
 	}
-	recs := make([]Record, int(c))
-	for i := range recs {
-		recs[i].Key = binary.LittleEndian.Uint64(b[off:])
-		off += 8
+	var recs []Record
+	if !dictKeys {
+		if c > uint64(len(b)-off)/8 {
+			return nil, 0, errRef
+		}
+		recs = make([]Record, int(c))
+		for i := range recs {
+			recs[i].Key = binary.LittleEndian.Uint64(b[off:])
+			off += 8
+		}
+	} else {
+		// The distinct keys, then one index into them per record.
+		if c > uint64(len(b)-off) {
+			return nil, 0, errRef
+		}
+		d, ok := uvarint()
+		if !ok || d < 1 || d > c || d > uint64(len(b)-off)/8 {
+			return nil, 0, errRef
+		}
+		dict := make([]uint64, int(d))
+		for i := range dict {
+			dict[i] = binary.LittleEndian.Uint64(b[off:])
+			off += 8
+		}
+		recs = make([]Record, int(c))
+		for i := range recs {
+			k, ok := uvarint()
+			if !ok || k >= d {
+				return nil, 0, errRef
+			}
+			recs[i].Key = dict[k]
+		}
 	}
 	var prevTime int64
 	for i := range recs {

@@ -15,8 +15,9 @@ import (
 
 // TestPoisonSwitchIsLive proves that a -tags poisonscratch run tests what it
 // says: a sink that breaks the contract by keeping the slice it was lent
-// reads poison once it has returned, and the slot's inflate buffer is
-// scribbled over when the task ends. Without this, a poison run in which the
+// reads poison once it has returned, the slot's inflate buffer is
+// scribbled over when the task ends, and the block writer's key dictionary
+// after every block it stores. Without this, a poison run in which the
 // hooks had quietly become no-ops would pass just the same.
 func TestPoisonSwitchIsLive(t *testing.T) {
 	job := shuffleJob(nil, 1, 1, false)
@@ -29,7 +30,9 @@ func TestPoisonSwitchIsLive(t *testing.T) {
 	for i := range recs {
 		recs[i] = data.Record{Key: uint64(i % 10), Val: 1, Time: int64(i) % int64(time.Millisecond)}
 	}
-	w.store.Put(shuffle.BlockID{Job: job.Name}, recs)
+	// Ten keys make a dictionary block, which is stored plain: the block is
+	// wrapped in the snappy envelope by hand so that the task inflates it.
+	w.store.PutRaw(shuffle.BlockID{Job: job.Name}, data.CompressBatch(data.EncodeBatchColumnar(nil, recs), 1))
 	if _, err := w.execute(reduceTask(w, job, 0, 1), sc, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +72,11 @@ func TestPoisonSwitchIsLive(t *testing.T) {
 	}
 	if len(payload) == 0 || payload[0] != '{' {
 		t.Fatalf("the op saw payload %q, want a heartbeat", payload)
+	}
+	// The map side: the block writer's key dictionary, index and time
+	// scratch is scribbled after every Put, before the task has ended.
+	if !sc.blocks.KeysPoisoned() {
+		t.Fatal("the block writer's key dictionary scratch was not scribbled after its Put")
 	}
 	sc.release()
 	for i, b := range payload {

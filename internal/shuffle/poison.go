@@ -17,4 +17,14 @@ func (w *BlockWriter) Scribble() {
 	for i := range agg {
 		agg[i] = data.PoisonedRecord
 	}
+	w.keys.Scribble()
 }
+
+// scribbleKeys overwrites the encoder's scratch after every Put: a stored
+// block, or the next block's encoding, that still read from it would read
+// garbage.
+func (w *BlockWriter) scribbleKeys() { w.keys.Scribble() }
+
+// KeysPoisoned reports whether the encoder's scratch holds anything and all
+// of it, to its full capacity, reads as poison.
+func (w *BlockWriter) KeysPoisoned() bool { return w.keys.Poisoned() }

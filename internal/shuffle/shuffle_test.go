@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -464,5 +465,98 @@ func TestFetchAllEmpty(t *testing.T) {
 	blocks, err := fetcher.FetchAll(nil, time.Second)
 	if err != nil || blocks != nil {
 		t.Fatalf("FetchAll(nil) = %v, %v", blocks, err)
+	}
+}
+
+// storedForm reports how a stored block was written: inside the snappy
+// envelope, or plain, and then whether its keys are dictionary-coded.
+func storedForm(t *testing.T, raw []byte) (compressed, dict bool) {
+	t.Helper()
+	if len(raw) < 7 {
+		t.Fatalf("stored block of %d bytes", len(raw))
+	}
+	if raw[4] == 2 {
+		return true, false
+	}
+	_, n := binary.Uvarint(raw[5:])
+	return false, raw[5+n]&4 != 0
+}
+
+// TestStoreRuleFollowsKeyForm pins the store rule: a block whose keys took
+// the dictionary form is stored plain whatever its size, and a raw-key block
+// is compressed from SmallBlock up — when that shrinks it — and stored plain
+// below.
+func TestStoreRuleFollowsKeyForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	hot := make([]uint64, 300)
+	for i := range hot {
+		hot[i] = rng.Uint64()
+	}
+	writer := NewBlockWriter(NewStore())
+	for _, tc := range []struct {
+		name             string
+		n                int
+		key              func(i int) uint64
+		compressed, dict bool
+	}{
+		{"repeated hashed keys", 8000, func(i int) uint64 { return hot[rng.Intn(len(hot))] }, false, true},
+		{"repeated keys, small block", 40, func(i int) uint64 { return hot[i%4] }, false, true},
+		{"distinct small keys", 2000, func(i int) uint64 { return uint64(i * 3) }, true, false},
+		{"distinct keys, small block", 100, func(i int) uint64 { return uint64(i * 3) }, false, false},
+	} {
+		recs := make([]data.Record, tc.n)
+		for i := range recs {
+			recs[i] = data.Record{Key: tc.key(i), Val: 1, Time: 1_700_000_000_000_000_000 + int64(i)*16_000}
+		}
+		id := BlockID{Job: tc.name}
+		size := writer.Put(id, recs, nil)
+		raw, _ := writer.store.GetRaw(id)
+		compressed, dict := storedForm(t, raw)
+		if compressed != tc.compressed || dict != tc.dict {
+			t.Errorf("%s: %d-byte block stored compressed=%v dictionary=%v, want %v and %v",
+				tc.name, size, compressed, dict, tc.compressed, tc.dict)
+		}
+		if big := tc.n >= 2000; big != (size >= SmallBlock) {
+			t.Errorf("%s: %d-byte block is on the wrong side of SmallBlock for this test", tc.name, size)
+		}
+		if got, _, err := data.DecodeBatch(raw); err != nil || !reflect.DeepEqual(got, recs) {
+			t.Fatalf("%s: stored block does not decode to its records (%v)", tc.name, err)
+		}
+	}
+}
+
+// TestPutCombinedOfOneWindowKeepsRawKeys: the combiner emits one record per
+// (key, window) group, so a combined block of one window — every combined
+// block the engine writes when windows are aligned to batches — holds each
+// key once and keeps the raw key column, compressed from SmallBlock up as
+// before. (A block whose records span several windows repeats its keys
+// across them, and may take the dictionary form like any other.)
+func TestPutCombinedOfOneWindowKeepsRawKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	win := dag.WindowSpec{Size: 100 * time.Millisecond}
+	writer := NewBlockWriter(NewStore())
+	var index data.PartitionIndex
+	for trial := 0; trial < 100; trial++ {
+		recs := make([]data.Record, 1+rng.Intn(20_000))
+		keys := 1 + rng.Intn(5000)
+		w0 := int64(rng.Intn(1000)) * int64(win.Size)
+		for i := range recs {
+			recs[i] = data.Record{Key: rng.Uint64() % uint64(keys) * 0x9E3779B97F4A7C15, Val: 1, Time: w0 + rng.Int63n(int64(win.Size))}
+		}
+		bucket := WindowBucket(win)
+		if trial%2 == 1 {
+			bucket = IdentityBucket
+		}
+		reducers := 1 + rng.Intn(4)
+		index.Build(recs, data.NewHashPartitioner(reducers))
+		for r := 0; r < reducers; r++ {
+			id := BlockID{Batch: int64(trial), ReducePartition: r}
+			writer.PutCombined(id, recs, index.Part(r), dag.Sum, bucket)
+			raw, _ := writer.store.GetRaw(id)
+			if compressed, dict := storedForm(t, raw); dict || (len(raw) >= SmallBlock && !compressed) {
+				t.Fatalf("trial %d reducer %d: combined block of %d bytes stored compressed=%v dictionary=%v",
+					trial, r, len(raw), compressed, dict)
+			}
+		}
 	}
 }

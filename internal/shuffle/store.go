@@ -62,11 +62,12 @@ func (s *Store) gaugesLocked() {
 	s.gBytes.Set(float64(s.bytes))
 }
 
-// Put encodes recs (block format v2, snappy-compressed above
-// SmallBlock) and stores them under id, returning the stored
-// size. Re-putting a block (recovery re-runs a map task) overwrites it. The
-// stored bytes are what remote fetchers receive verbatim: encoding — and
-// compression — happens exactly once, here, never on the serving path.
+// Put encodes recs (block format v2; snappy-compressed from SmallBlock up
+// unless the keys took the dictionary form) and stores them under id,
+// returning the stored size. Re-putting a block (recovery re-runs a map
+// task) overwrites it. The stored bytes are what remote fetchers receive
+// verbatim: encoding — and compression — happens exactly once, here, never
+// on the serving path.
 // Callers that write block after block keep a BlockWriter instead, which
 // reuses its buffers.
 func (s *Store) Put(id BlockID, recs []data.Record) int {
@@ -74,17 +75,18 @@ func (s *Store) Put(id BlockID, recs []data.Record) int {
 }
 
 // BlockWriter writes map output into a Store block by block, reusing its
-// encode and compress buffers and its combine table from one block to the
-// next: the only memory a Put leaves behind is the stored block itself, at
-// its exact size. An executor slot owns one for its lifetime; it is not safe
+// encoder's key dictionary, its encode and compress buffers and its combine
+// table from one block to the next: the only memory a Put leaves behind is
+// the stored block itself, at its exact size. An executor slot owns one for its lifetime; it is not safe
 // for concurrent use.
 //
 // Nothing passed to a BlockWriter is retained: recs and idx are read during
 // the call only, and the stored block is a copy.
 type BlockWriter struct {
 	store *Store
-	enc   []byte // encoding of the block being written
-	comp  []byte // its compressed envelope
+	keys  data.Encoder // key dictionary and time column scratch behind enc
+	enc   []byte       // encoding of the block being written
+	comp  []byte       // its compressed envelope
 	table AggTable
 	agg   []data.Record // the table's drained output, reused per block
 }
@@ -96,10 +98,16 @@ func NewBlockWriter(s *Store) *BlockWriter { return &BlockWriter{store: s} }
 // order, when idx is nil — as one block stored under id, and returns the
 // stored size. idx is typically one partition of a data.PartitionIndex over
 // the map task's whole output, which is then never copied apart.
+//
+// A block whose keys took the dictionary form is stored plain, whatever its
+// size: the dictionary already found the repeats snappy would look for. A
+// raw-key block is compressed from SmallBlock up, if that shrinks it.
 func (w *BlockWriter) Put(id BlockID, recs []data.Record, idx []uint32) int {
-	w.enc = data.AppendColumnar(w.enc[:0], recs, idx)
+	var dict bool
+	w.enc, dict = w.keys.AppendColumnar(w.enc[:0], recs, idx)
+	w.scribbleKeys()
 	block := w.enc
-	if len(block) >= SmallBlock {
+	if !dict && len(block) >= SmallBlock {
 		var ok bool
 		if w.comp, ok = data.AppendCompressed(w.comp[:0], block); ok {
 			block = w.comp
