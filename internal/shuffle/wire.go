@@ -19,12 +19,13 @@ const (
 	tagFetchResponse = 17
 )
 
-// SmallBlock is the line between small and large blocks. An encoding this
-// size or larger is stored compressed by Store.Put: small blocks are not
-// worth the CPU, large ones — a hot key repeats as the same eight bytes —
-// are. A block stored below it is pushed to its consumer inside the
-// producer's DataReady; one at or above it is pulled with a FetchRequest.
-// A block not worth compressing is not worth a round trip either.
+// SmallBlock is the line between small and large blocks. A raw-key
+// encoding this size or larger is stored compressed by Store.Put: small
+// blocks are not worth the CPU, large ones may be. (A block whose keys
+// repeat takes dictionary keys instead and is stored plain at any size:
+// the dictionary has already found what snappy would.) A block stored
+// below the line is pushed to its consumer inside the producer's
+// DataReady; one at or above it is pulled with a FetchRequest.
 const SmallBlock = 4 << 10
 
 func appendBlockID(dst []byte, id BlockID) []byte {
