@@ -151,13 +151,13 @@ type TCPNetwork struct {
 	dialing  map[routeKey]*dialCall
 	backoffs map[routeKey]*backoffState
 
-	sent            *metrics.Counter
-	sendErrors      *metrics.Counter
-	dials           *metrics.Counter
-	dialErrors      *metrics.Counter
-	dialsSuppressed *metrics.Counter
-	inboundDropped  *metrics.Counter
-	socketWrites    *metrics.Counter
+	sent            *tcpCounter
+	sendErrors      *tcpCounter
+	dials           *tcpCounter
+	dialErrors      *tcpCounter
+	dialsSuppressed *tcpCounter
+	inboundDropped  *tcpCounter
+	socketWrites    *tcpCounter
 }
 
 type routeKey struct {
@@ -242,12 +242,31 @@ type tcpConn struct {
 	deadline time.Time
 }
 
+// tcpCounter is one transport counter. own is this network's count, which
+// Stats reports. series is the registry's drizzle_rpc_* series: it carries
+// no label, so every network registered on one registry adds to it.
+type tcpCounter struct {
+	own    metrics.Counter
+	series *metrics.Counter
+}
+
+func newTCPCounter(reg *metrics.Registry, name string) *tcpCounter {
+	return &tcpCounter{series: reg.Counter(name)}
+}
+
+func (c *tcpCounter) Inc() {
+	c.own.Inc()
+	c.series.Inc()
+}
+
+func (c *tcpCounter) Value() int64 { return c.own.Value() }
+
 // countingWriter counts the Write calls that actually reach the socket
 // (explicit flushes plus bufio's buffer-full spills), so Stats can report
 // the frame-coalescing factor.
 type countingWriter struct {
 	w      io.Writer
-	writes *metrics.Counter
+	writes *tcpCounter
 }
 
 func (cw countingWriter) Write(p []byte) (int, error) {
@@ -255,7 +274,7 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-func newTCPConn(c net.Conn, bufSize int, writes *metrics.Counter) *tcpConn {
+func newTCPConn(c net.Conn, bufSize int, writes *tcpCounter) *tcpConn {
 	bw := bufio.NewWriterSize(countingWriter{w: c, writes: writes}, bufSize)
 	return &tcpConn{c: c, bw: bw, enc: newStreamEncoder(bw)}
 }
@@ -290,13 +309,13 @@ func NewTCPNetworkWithConfig(cfg TCPConfig) *TCPNetwork {
 		dialing:         make(map[routeKey]*dialCall),
 		backoffs:        make(map[routeKey]*backoffState),
 		log:             obs.Component(cfg.Logger, "transport"),
-		sent:            reg.Counter("drizzle_rpc_sent_total"),
-		sendErrors:      reg.Counter("drizzle_rpc_send_errors_total"),
-		dials:           reg.Counter("drizzle_rpc_dials_total"),
-		dialErrors:      reg.Counter("drizzle_rpc_dial_errors_total"),
-		dialsSuppressed: reg.Counter("drizzle_rpc_dials_suppressed_total"),
-		inboundDropped:  reg.Counter("drizzle_rpc_inbound_dropped_total"),
-		socketWrites:    reg.Counter("drizzle_rpc_socket_writes_total"),
+		sent:            newTCPCounter(reg, "drizzle_rpc_sent_total"),
+		sendErrors:      newTCPCounter(reg, "drizzle_rpc_send_errors_total"),
+		dials:           newTCPCounter(reg, "drizzle_rpc_dials_total"),
+		dialErrors:      newTCPCounter(reg, "drizzle_rpc_dial_errors_total"),
+		dialsSuppressed: newTCPCounter(reg, "drizzle_rpc_dials_suppressed_total"),
+		inboundDropped:  newTCPCounter(reg, "drizzle_rpc_inbound_dropped_total"),
+		socketWrites:    newTCPCounter(reg, "drizzle_rpc_socket_writes_total"),
 	}
 }
 

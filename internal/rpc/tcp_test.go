@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"drizzle/internal/metrics"
 	"drizzle/internal/obs"
 	"drizzle/internal/wire"
 )
@@ -527,5 +528,60 @@ func TestTCPBufferedFramingCoalesces(t *testing.T) {
 				t.Fatalf("route %s out of order at %d: got %d", from, i, s)
 			}
 		}
+	}
+}
+
+// TestTCPStatsCountOwnNetwork: networks that share a registry share its
+// unlabeled drizzle_rpc_* series, but each one's Stats counts only what it
+// sent and wrote, so a sum of Stats over a cluster's networks counts every
+// send once.
+func TestTCPStatsCountOwnNetwork(t *testing.T) {
+	const per = 50
+	reg := metrics.NewRegistry()
+	delivered := make(chan struct{}, 2*per)
+	nets := make([]*TCPNetwork, 2)
+	ids := []NodeID{"a", "b"}
+	addrs := make([]string, 2)
+	for i := range nets {
+		nets[i] = NewTCPNetworkWithConfig(TCPConfig{Metrics: reg})
+		defer nets[i].Close()
+		var err error
+		if addrs[i], err = nets[i].Listen(ids[i], "127.0.0.1:0", func(NodeID, any) { delivered <- struct{}{} }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, n := range nets {
+		n.Announce(ids[1-i], addrs[1-i])
+	}
+	for i, n := range nets {
+		for s := 0; s < per; s++ {
+			if err := n.Send(ids[i], ids[1-i], testMsg{Seq: s}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 2*per; i++ {
+		select {
+		case <-delivered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivered %d/%d", i, 2*per)
+		}
+	}
+	var writes int64
+	for i, n := range nets {
+		st := n.Stats()
+		if st.Sent != per {
+			t.Errorf("network %s: Stats().Sent = %d, want %d", ids[i], st.Sent, per)
+		}
+		if st.SocketWrites < 1 || st.SocketWrites > per {
+			t.Errorf("network %s: Stats().SocketWrites = %d, want 1..%d", ids[i], st.SocketWrites, per)
+		}
+		writes += st.SocketWrites
+	}
+	if got := reg.Counter("drizzle_rpc_sent_total").Value(); got != 2*per {
+		t.Errorf("registry drizzle_rpc_sent_total = %d, want %d", got, 2*per)
+	}
+	if got := reg.Counter("drizzle_rpc_socket_writes_total").Value(); got != writes {
+		t.Errorf("registry drizzle_rpc_socket_writes_total = %d, want the networks' sum %d", got, writes)
 	}
 }
