@@ -123,6 +123,9 @@ func BenchmarkShufflePath(b *testing.B) {
 						inflate, batches = inflate[:0], batches[:0]
 						for m := 0; m < mapParts; m++ {
 							raw, _ := store.GetRaw(blockID(bt, m, r))
+							if len(raw) == 0 {
+								continue // an empty block, never opened
+							}
 							blk, err := data.OpenBatch(raw, &inflate)
 							if err != nil {
 								b.Fatal(err)
@@ -184,7 +187,7 @@ func BenchmarkShufflePath(b *testing.B) {
 					blocks = append(blocks, blk)
 					byReducer[r] = append(byReducer[r], opened)
 					blockRecords += opened.Len()
-					// The store rule of shuffle.BlockWriter.Put.
+					// The store rule of shuffle.BlockWriter.Block.
 					stored := len(blk.plain)
 					if !blk.dict && stored >= shuffle.SmallBlock {
 						compressed = append(compressed, blk)

@@ -396,6 +396,49 @@ func TestCorruptBlockFailsTaskBeforeState(t *testing.T) {
 	}
 }
 
+// TestEmptyInputsAreNotOpened: a reduce task reads its empty input blocks —
+// stored as zero bytes, or carried as nil — as no records: data.OpenBatch
+// never sees them, and a task whose inputs are all empty still applies its
+// batch, so the partition's applied-through advances and its windows close.
+func TestEmptyInputsAreNotOpened(t *testing.T) {
+	const maps = 4
+	job := shuffleJob(nil, maps, 1, false)
+	w, sc := bareWorker(t, job)
+	key := checkpoint.StateKey{Job: job.Name, Stage: 1, Partition: 0}
+	block := func(batch core.BatchID, m int) shuffle.BlockID {
+		return shuffle.BlockID{Job: job.Name, Batch: int64(batch), Stage: 0, MapPartition: m}
+	}
+	for batch := core.BatchID(0); batch < 3; batch++ {
+		for m := 0; m < maps; m++ {
+			if batch == 1 && m == 2 {
+				w.store.Put(block(batch, m), []data.Record{{Key: 5, Val: 7, Time: int64(batch) * int64(job.Interval)}})
+			} else {
+				w.store.PutRaw(block(batch, m), nil)
+			}
+		}
+		if _, err := w.execute(reduceTask(w, job, batch, maps), sc, nil, 0); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		sc.release()
+		if at := w.states.AppliedThrough(key); at != batch {
+			t.Fatalf("batch %d: applied through %d", batch, at)
+		}
+	}
+	snap, ok := w.states.Snapshot(key, 2)
+	if !ok {
+		t.Fatal("no snapshot after batch 2")
+	}
+	var total int64
+	for _, kv := range snap.Windows {
+		for _, v := range kv {
+			total += v
+		}
+	}
+	if total != 7 {
+		t.Fatalf("state sums to %d after one record of 7 among empty blocks", total)
+	}
+}
+
 // allocsPerTask runs one task per call of next through Worker.execute and
 // returns the average allocation count, after a first task has sized the
 // slot's scratch.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"drizzle/internal/checkpoint"
 	"drizzle/internal/core"
 	"drizzle/internal/dag"
 	"drizzle/internal/data"
@@ -251,5 +252,104 @@ func TestPushedBlockGoesAtPurge(t *testing.T) {
 	f.w0.handle("driver", core.LaunchTasks{PurgeBefore: 6})
 	if b, n := f.w0.store.Stats(); b != 0 || n != 0 {
 		t.Fatalf("after the purge w0 holds %d blocks, %d bytes; want none", b, n)
+	}
+}
+
+// TestEmptyPartitionsCostNothing: a source whose records all have one key
+// leaves three of four reduce partitions without a record in every batch.
+// The empty blocks are held as zero bytes, ride inside DataReady as zero
+// bytes, and are never opened; the empty partitions' reduce tasks still
+// apply every batch, and the output matches the reference.
+func TestEmptyPartitionsCostNothing(t *testing.T) {
+	for _, combine := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Mode = ModeDrizzle
+		cfg.GroupSize = 4
+		cfg.Metrics = metrics.NewRegistry()
+		tc := newTestCluster(t, 2, cfg, rpc.InMemConfig{})
+		sink := newWindowSink()
+		const batches, maps, reducers = 8, 4, 4
+		job := windowCountJob("empty", maps, reducers, 50*time.Millisecond, 200*time.Millisecond, countingSource(1, 5), sink.fn, combine)
+		if err := tc.reg.Register("empty", job); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := tc.driver.Run("empty", batches)
+		if err != nil {
+			t.Fatalf("combine=%v: Run: %v", combine, err)
+		}
+		want := referenceWindows(job, stats.StartNanos, batches)
+		if diff := diffResults(want, sink.snapshot()); diff != "" {
+			t.Fatalf("combine=%v: window results diverge from reference:\n%s", combine, diff)
+		}
+		var failed int64
+		for id := range tc.workers {
+			failed += cfg.Metrics.Counter("drizzle_worker_tasks_failed_total", "worker", string(id)).Value()
+		}
+		if failed != 0 {
+			t.Errorf("combine=%v: %d tasks failed, want none: an empty block reached OpenBatch", combine, failed)
+		}
+		for r := 0; r < reducers; r++ {
+			key := checkpoint.StateKey{Job: "empty", Stage: 1, Partition: r}
+			applied := core.BatchID(-1)
+			for _, w := range tc.workers {
+				applied = max(applied, w.states.AppliedThrough(key))
+			}
+			if applied != batches-1 {
+				t.Errorf("combine=%v: partition %d applied through batch %d, want %d", combine, r, applied, batches-1)
+			}
+		}
+		// The last group is not purged, so each output's producer still holds
+		// all its blocks: one with the records, and three empty ones of 0
+		// bytes. (A consumer holds pushed copies of only some.)
+		for m := 0; m < maps; m++ {
+			dep := core.Dep{Job: "empty", Batch: batches - 1, Stage: 0, MapPartition: m}
+			producers := 0
+			for _, w := range tc.workers {
+				full, empty := 0, 0
+				for r := 0; r < reducers; r++ {
+					if b, ok := w.store.GetRaw(blockOf(dep, r)); ok && len(b) == 0 {
+						empty++
+					} else if ok {
+						full++
+					}
+				}
+				if full+empty < reducers {
+					continue
+				}
+				producers++
+				if full != 1 || empty != reducers-1 {
+					t.Errorf("combine=%v: map output %d: its producer holds %d full and %d empty blocks, want 1 and %d", combine, m, full, empty, reducers-1)
+				}
+			}
+			if producers == 0 {
+				t.Errorf("combine=%v: no worker holds all blocks of map output %d", combine, m)
+			}
+		}
+	}
+}
+
+// TestPushedEmptyBlockIsHeld: a zero-length block crosses the wire codec as
+// nil. The receiver stores it as the empty block it is, so the consumer runs
+// with no fetch; a carried block for a partition the output does not have
+// is dropped.
+func TestPushedEmptyBlockIsHeld(t *testing.T) {
+	f := newPushFixture(t)
+	own, _ := f.partitions(t)
+	dep := core.Dep{Job: f.job.Name, Batch: 6, Stage: 0, MapPartition: 1}
+	f.launch(dep, own)
+	f.w0.handle("w1", core.DataReady{Dep: dep, Holder: "w1", Blocks: []core.ReadyBlock{
+		{Partition: own, Data: nil},
+		{Partition: -1, Data: []byte{1}},
+		{Partition: f.job.Stages[1].NumPartitions, Data: []byte{2}},
+	}})
+	if b, ok := f.w0.store.GetRaw(blockOf(dep, own)); !ok || b == nil || len(b) != 0 {
+		t.Fatalf("pushed empty block stored as %v (held %v), want a held zero-length block", b, ok)
+	}
+	if n, bytes := f.w0.store.Stats(); n != 1 || bytes != 0 {
+		t.Fatalf("w0 holds %d blocks, %d bytes; want the one empty block", n, bytes)
+	}
+	f.await(t, dep)
+	if n := f.fetches(); n != 0 {
+		t.Fatalf("w0 made %d fetches for a pushed empty block, want 0", n)
 	}
 }

@@ -267,11 +267,10 @@ func (w *Worker) handle(from rpc.NodeID, msg any) {
 		// nothing, and its consumer fetches.
 		w.mu.Lock()
 		trusted := w.placement.NumWorkers() == 0 || w.placement.Contains(m.Holder)
+		ji := w.jobs[m.Dep.Job]
 		w.mu.Unlock()
 		if trusted {
-			for _, b := range m.Blocks {
-				w.store.PutRaw(blockOf(m.Dep, b.Partition), b.Data)
-			}
+			w.storePushed(ji, m)
 			w.ls.OnDataReady(m.Dep, m.Holder)
 		}
 	case shuffle.FetchRequest:
@@ -292,6 +291,32 @@ func (w *Worker) handle(from rpc.NodeID, msg any) {
 	default:
 		w.log.Warn("unexpected message", "type", fmt.Sprintf("%T", msg), "from", string(from))
 	}
+}
+
+// storePushed stores the blocks a DataReady carries with one call into the
+// store, under their output's entry sized for its reducers. A block for a
+// partition the output cannot have is dropped, and so is every block of a
+// job not submitted here yet: a consumer that finds no pushed block fetches
+// it from the holder. A zero-length block arrives as nil and is stored as
+// the empty block it is.
+func (w *Worker) storePushed(ji *jobInfo, m core.DataReady) {
+	if len(m.Blocks) == 0 || ji == nil || m.Dep.Stage < 0 || m.Dep.Stage >= len(ji.job.Stages) {
+		return
+	}
+	spec := ji.job.Stages[m.Dep.Stage].Shuffle
+	if spec == nil {
+		return
+	}
+	out := make([][]byte, spec.NumReducers)
+	for _, b := range m.Blocks {
+		if b.Partition >= 0 && b.Partition < len(out) {
+			out[b.Partition] = b.Data
+			if b.Data == nil {
+				out[b.Partition] = []byte{}
+			}
+		}
+	}
+	w.store.PutOutput(outputOf(m.Dep), out)
 }
 
 // onKill processes a loser-cancellation from first-result-wins commit:
@@ -465,10 +490,12 @@ type slotScratch struct {
 	// Source side: the records and payload arena a source task renders its
 	// batch into. Every draw starts from empty, so release leaves it be.
 	source data.SourceScratch
-	// Map side: the partition permutation of the task's output, and the
-	// writer holding the encode/compress buffers and the combine table.
+	// Map side: the partition permutation of the task's output, the writer
+	// holding the encode/compress buffers and the combine table, and the
+	// output's blocks, one per reduce partition, until the store takes them.
 	index  data.PartitionIndex
 	blocks *shuffle.BlockWriter
+	out    [][]byte
 	// Reduce side: the task's input blocks as stored or fetched, the
 	// decompressed bodies of the compressed ones, the validated views over
 	// both, and the table a windowed fold aggregates them in.
@@ -482,21 +509,27 @@ func newSlotScratch(store *shuffle.Store) *slotScratch {
 	return &slotScratch{blocks: shuffle.NewBlockWriter(store)}
 }
 
-// release ends a task's use of the scratch: input blocks are unpinned (they
-// belong to the block store or the fetch response, not to the slot).
+// release ends a task's use of the scratch: input and output blocks are
+// unpinned (they belong to the block store or the fetch response, not to
+// the slot).
 func (sc *slotScratch) release() {
 	clear(sc.in)
 	clear(sc.batches)
-	sc.in, sc.batches, sc.inflate = sc.in[:0], sc.batches[:0], sc.inflate[:0]
+	clear(sc.out)
+	sc.in, sc.batches, sc.inflate, sc.out = sc.in[:0], sc.batches[:0], sc.inflate[:0], sc.out[:0]
 	sc.poison()
 }
 
 // open validates every input block of the task, decompressing the
 // compressed ones into the slot's inflate buffer, and returns the views. It
 // fails on the first corrupt block — one with bytes after its batch
-// included — before the task has touched any state.
+// included — before the task has touched any state. An empty block has no
+// bytes and no view: data.OpenBatch never sees a zero-length block.
 func (sc *slotScratch) open(id core.TaskID) ([]data.Batch, error) {
 	for i := range sc.in {
+		if len(sc.in[i].Data) == 0 {
+			continue
+		}
 		b, err := data.OpenBatch(sc.in[i].Data, &sc.inflate)
 		if err == nil && b.Size() != len(sc.in[i].Data) {
 			err = fmt.Errorf("%d trailing byte(s) after the batch", len(sc.in[i].Data)-b.Size())
@@ -695,6 +728,11 @@ func (w *Worker) execute(rt core.RunnableTask, sc *slotScratch, tr *trace.Tracer
 	return nil, nil
 }
 
+// outputOf names map output d in the block store.
+func outputOf(d core.Dep) shuffle.OutputID {
+	return shuffle.OutputID{Job: d.Job, Batch: int64(d.Batch), Stage: d.Stage, MapPartition: d.MapPartition}
+}
+
 // blockOf names the block map output d wrote for reduce partition r.
 func blockOf(d core.Dep, r int) shuffle.BlockID {
 	return shuffle.BlockID{
@@ -745,39 +783,37 @@ func (w *Worker) gatherInputs(rt core.RunnableTask, sc *slotScratch) error {
 }
 
 // writeShuffleOutput partitions (and optionally combines) a map task's
-// output, stores the blocks locally, and — under pre-scheduling — pushes
-// DataReady notifications straight to the downstream workers. The records
-// are never copied apart: each reducer's block is encoded (or combined)
-// straight from recs through the slot's partition index.
+// output, stores its blocks locally with one call into the store, and —
+// under pre-scheduling — pushes DataReady notifications straight to the
+// downstream workers. The records are never copied apart: each reducer's
+// block is encoded (or combined) straight from recs through the slot's
+// partition index.
 func (w *Worker) writeShuffleOutput(ji *jobInfo, stage *dag.Stage, id core.TaskID, recs []data.Record, sc *slotScratch, notify bool, placement core.Placement) ([]int64, error) {
 	spec := stage.Shuffle
 	sizes := make([]int64, spec.NumReducers)
+	sc.out = append(sc.out[:0], make([][]byte, spec.NumReducers)...)
 	var bucket shuffle.TimeBucket
 	if spec.Combine {
 		bucket = w.combineBucket(ji, stage)
 	}
-	put := func(r int, idx []uint32) {
-		blk := shuffle.BlockID{
-			Job:             ji.name,
-			Batch:           int64(id.Batch),
-			Stage:           id.Stage,
-			MapPartition:    id.Partition,
-			ReducePartition: r,
-		}
+	encode := func(r int, idx []uint32) {
 		if spec.Combine {
-			sizes[r] = int64(sc.blocks.PutCombined(blk, recs, idx, spec.CombineFunc, bucket))
+			sc.out[r] = sc.blocks.CombinedBlock(recs, idx, spec.CombineFunc, bucket)
 		} else {
-			sizes[r] = int64(sc.blocks.Put(blk, recs, idx))
+			sc.out[r] = sc.blocks.Block(recs, idx)
 		}
+		sizes[r] = int64(len(sc.out[r]))
 	}
+	output := shuffle.OutputID{Job: ji.name, Batch: int64(id.Batch), Stage: id.Stage, MapPartition: id.Partition}
 
 	if st := spec.Structure; st != nil {
 		// Known communication structure (§3.6, treeReduce): the whole
 		// (combined) output goes to a single consumer partition.
 		target := st.Consumer(id.Partition)
-		put(target, nil)
+		encode(target, nil)
+		w.store.PutOutput(output, sc.out)
 		if notify {
-			w.notifyConsumers(ji, id, placement, sizes[target], func(child, r int) bool {
+			w.notifyConsumers(ji, id, placement, sizes[target], sc.out, func(child, r int) bool {
 				return r == target
 			})
 		}
@@ -787,11 +823,12 @@ func (w *Worker) writeShuffleOutput(ji *jobInfo, stage *dag.Stage, id core.TaskI
 	sc.index.Build(recs, data.NewHashPartitioner(spec.NumReducers))
 	var total int64
 	for r := range sizes {
-		put(r, sc.index.Part(r))
+		encode(r, sc.index.Part(r))
 		total += sizes[r]
 	}
+	w.store.PutOutput(output, sc.out)
 	if notify {
-		w.notifyConsumers(ji, id, placement, total, func(int, int) bool { return true })
+		w.notifyConsumers(ji, id, placement, total, sc.out, func(int, int) bool { return true })
 	}
 	return sizes, nil
 }
@@ -799,9 +836,10 @@ func (w *Worker) writeShuffleOutput(ji *jobInfo, stage *dag.Stage, id core.TaskI
 // notifyConsumers pushes DataReady notifications to the owners of the
 // consumer partitions selected by the filter (all partitions for an
 // all-to-all shuffle, one for a structured shuffle). A remote owner's
-// notification carries the output's small blocks for the partitions it
-// owns; it pulls the large ones.
-func (w *Worker) notifyConsumers(ji *jobInfo, id core.TaskID, placement core.Placement, size int64, include func(child, r int) bool) {
+// notification carries the output's small blocks — out[r] is the block
+// stored for partition r, nil if none was — for the partitions it owns; it
+// pulls the large ones. An empty block is small: it rides as zero bytes.
+func (w *Worker) notifyConsumers(ji *jobInfo, id core.TaskID, placement core.Placement, size int64, out [][]byte, include func(child, r int) bool) {
 	dep := core.Dep{Job: ji.name, Batch: id.Batch, Stage: id.Stage, MapPartition: id.Partition}
 	// No membership yet: the MembershipUpdate broadcast was lost. The output
 	// is written and the driver learns the holder from the status report, so
@@ -835,11 +873,11 @@ func (w *Worker) notifyConsumers(ji *jobInfo, id core.TaskID, placement core.Pla
 			if owner == w.id || slices.ContainsFunc(blocks[i], func(b core.ReadyBlock) bool { return b.Partition == r }) {
 				continue
 			}
-			if b, ok := w.store.GetRaw(blockOf(dep, r)); ok && len(b) < shuffle.SmallBlock {
+			if r < len(out) && out[r] != nil && len(out[r]) < shuffle.SmallBlock {
 				if blocks[i] == nil {
 					blocks[i] = make([]core.ReadyBlock, 0, n)
 				}
-				blocks[i] = append(blocks[i], core.ReadyBlock{Partition: r, Data: b})
+				blocks[i] = append(blocks[i], core.ReadyBlock{Partition: r, Data: out[r]})
 			}
 		}
 	}

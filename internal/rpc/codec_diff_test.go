@@ -275,6 +275,10 @@ var generators = map[string]func(r *rand.Rand) any{
 			for i := range m.Blocks {
 				m.Blocks[i] = core.ReadyBlock{Partition: int(genInt64(r)), Data: genBytes(r)}
 			}
+			if r.Intn(2) == 0 {
+				// An empty map-output block rides as zero bytes.
+				m.Blocks[r.Intn(len(m.Blocks))].Data = []byte{}
+			}
 		}
 		return m
 	},

@@ -66,6 +66,41 @@ func TestStorePurgeBefore(t *testing.T) {
 	}
 }
 
+// TestEmptySelectionStoresNothing: a block of no records is never encoded.
+// Put and PutCombined of an empty selection — an empty index, or no records
+// at all — store a zero-length block, held and empty, in place of what the
+// block held before, report 0 bytes, and allocate nothing.
+func TestEmptySelectionStoresNothing(t *testing.T) {
+	store := NewStore()
+	writer := NewBlockWriter(store)
+	recs := []data.Record{{Key: 1, Val: 1}, {Key: 2, Val: 2}}
+	for _, tc := range []struct {
+		name string
+		put  func(BlockID) int
+	}{
+		{"Put, empty index", func(id BlockID) int { return writer.Put(id, recs, []uint32{}) }},
+		{"Put, no records", func(id BlockID) int { return writer.Put(id, nil, nil) }},
+		{"PutCombined, empty index", func(id BlockID) int { return writer.PutCombined(id, recs, []uint32{}, dag.Sum, IdentityBucket) }},
+		{"PutCombined, no records", func(id BlockID) int { return writer.PutCombined(id, nil, nil, dag.Sum, IdentityBucket) }},
+	} {
+		id := BlockID{Job: tc.name, ReducePartition: 3}
+		writer.Put(id, recs, nil)
+		size := -1
+		if allocs := testing.AllocsPerRun(20, func() { size = tc.put(id) }); allocs != 0 {
+			t.Errorf("%s: %v allocations, want 0", tc.name, allocs)
+		}
+		if size != 0 {
+			t.Errorf("%s: reported %d bytes, want 0", tc.name, size)
+		}
+		if raw, ok := store.GetRaw(id); !ok || raw == nil || len(raw) != 0 {
+			t.Errorf("%s: stored block is %v (held %v), want a held zero-length block", tc.name, raw, ok)
+		}
+	}
+	if n, b := store.Stats(); n != 4 || b != 0 {
+		t.Errorf("Stats = %d blocks, %d bytes; want 4 empty blocks", n, b)
+	}
+}
+
 func TestCombineSums(t *testing.T) {
 	recs := []data.Record{
 		{Key: 1, Val: 1}, {Key: 1, Val: 2}, {Key: 2, Val: 5},
@@ -174,7 +209,7 @@ func TestPutCombinedMatchesNaiveAggregation(t *testing.T) {
 			if !ok || len(raw) != size {
 				t.Fatalf("task %d reducer %d: stored=%v, %d bytes, PutCombined reported %d", task, r, ok, len(raw), size)
 			}
-			out, _, err := data.DecodeBatch(raw)
+			out, err := decodeStored(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,6 +376,43 @@ func TestFetchRejectsMismatchedBlocks(t *testing.T) {
 			t.Errorf("%s: %d fetch errors counted, want 1", name, n)
 		}
 		net.Close()
+	}
+}
+
+// TestFetchEmptyBlock: an empty block is held, not missing. The service
+// answers for it with a found block of no bytes, which is still that after
+// the response crosses the wire codec.
+func TestFetchEmptyBlock(t *testing.T) {
+	store, fetcher, _ := fetchHarness(t)
+	full := BlockID{Batch: 3, MapPartition: 1, ReducePartition: 0}
+	empty := BlockID{Batch: 3, MapPartition: 1, ReducePartition: 1}
+	writer := NewBlockWriter(store)
+	writer.Put(full, []data.Record{{Key: 7, Val: 70}}, nil)
+	writer.Put(empty, nil, nil)
+	blocks, err := fetcher.Fetch("holder", []BlockID{full, empty}, time.Second)
+	if err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	if len(blocks) != 2 || blocks[1].ID != empty || len(blocks[1].Data) != 0 {
+		t.Fatalf("Fetch = %+v, want the full block and then the empty one, of no bytes", blocks)
+	}
+
+	var resp FetchResponse
+	NewService(store, func(_ rpc.NodeID, msg any) error {
+		resp = msg.(FetchResponse)
+		return nil
+	}).HandleRequest(FetchRequest{ID: 1, From: "asker", Blocks: []BlockID{empty}})
+	enc, err := rpc.DefaultCodec.EncodeMessage(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := rpc.DefaultCodec.DecodeMessage(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := msg.(FetchResponse)
+	if len(got.Missing) != 0 || len(got.Blocks) != 1 || got.Blocks[0].ID != empty || len(got.Blocks[0].Data) != 0 {
+		t.Fatalf("decoded response %+v, want one found block of no bytes", got)
 	}
 }
 

@@ -26,15 +26,35 @@ type BlockID struct {
 	ReducePartition int
 }
 
+// OutputID names one map output: the blocks map task MapPartition of
+// (Job, Batch, Stage) wrote, one per reduce partition.
+type OutputID struct {
+	Job          string
+	Batch        int64
+	Stage        int
+	MapPartition int
+}
+
+// Output returns the map output the block belongs to.
+func (id BlockID) Output() OutputID {
+	return OutputID{Job: id.Job, Batch: id.Batch, Stage: id.Stage, MapPartition: id.MapPartition}
+}
+
 // Store is a worker-local, in-memory block store. The real system writes
 // map outputs to local disk; in-memory blocks preserve the architectural
 // property that matters (blocks survive task completion, are served to
 // remote fetchers, and die with the machine) while keeping experiments
 // repeatable.
+//
+// The store keeps one entry per map output: its blocks, indexed by reduce
+// partition. A nil slot is a block not held here. A zero-length, non-nil
+// slot is a block held here that holds no record: an empty block is never
+// encoded, and costs the store no bytes.
 type Store struct {
-	mu     sync.RWMutex
-	blocks map[BlockID][]byte
-	bytes  int64
+	mu      sync.RWMutex
+	outputs map[OutputID][][]byte
+	blocks  int // non-nil slots
+	bytes   int64
 
 	gBlocks *metrics.Gauge
 	gBytes  *metrics.Gauge
@@ -42,7 +62,7 @@ type Store struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	s := &Store{blocks: make(map[BlockID][]byte)}
+	s := &Store{outputs: make(map[OutputID][][]byte)}
 	s.InstrumentMetrics(nil, "")
 	return s
 }
@@ -58,30 +78,30 @@ func (s *Store) InstrumentMetrics(reg *metrics.Registry, worker string) {
 
 // gaugesLocked refreshes the occupancy gauges; callers hold mu.
 func (s *Store) gaugesLocked() {
-	s.gBlocks.Set(float64(len(s.blocks)))
+	s.gBlocks.Set(float64(s.blocks))
 	s.gBytes.Set(float64(s.bytes))
 }
 
 // Put encodes recs (block format v2; snappy-compressed from SmallBlock up
 // unless the keys took the dictionary form) and stores them under id,
-// returning the stored size. Re-putting a block (recovery re-runs a map
-// task) overwrites it. The stored bytes are what remote fetchers receive
-// verbatim: encoding — and compression — happens exactly once, here, never
-// on the serving path.
+// returning the stored size; no records store an empty block of 0 bytes.
+// Re-putting a block (recovery re-runs a map task) overwrites it. The stored
+// bytes are what remote fetchers receive verbatim: encoding — and
+// compression — happens exactly once, here, never on the serving path.
 // Callers that write block after block keep a BlockWriter instead, which
 // reuses its buffers.
 func (s *Store) Put(id BlockID, recs []data.Record) int {
 	return NewBlockWriter(s).Put(id, recs, nil)
 }
 
-// BlockWriter writes map output into a Store block by block, reusing its
-// encoder's key dictionary, its encode and compress buffers and its combine
-// table from one block to the next: the only memory a Put leaves behind is
-// the stored block itself, at its exact size. An executor slot owns one for its lifetime; it is not safe
-// for concurrent use.
+// BlockWriter encodes map output block by block, reusing its encoder's key
+// dictionary, its encode and compress buffers and its combine table from
+// one block to the next: the only memory a block leaves behind is the block
+// itself, at its exact size. An executor slot owns one for its lifetime; it
+// is not safe for concurrent use.
 //
 // Nothing passed to a BlockWriter is retained: recs and idx are read during
-// the call only, and the stored block is a copy.
+// the call only, and every block it returns or stores is a copy.
 type BlockWriter struct {
 	store *Store
 	keys  data.Encoder // key dictionary and time column scratch behind enc
@@ -94,15 +114,29 @@ type BlockWriter struct {
 // NewBlockWriter returns a writer storing into s.
 func NewBlockWriter(s *Store) *BlockWriter { return &BlockWriter{store: s} }
 
-// Put encodes the records recs[idx[0]], recs[idx[1]], ... — every record, in
-// order, when idx is nil — as one block stored under id, and returns the
-// stored size. idx is typically one partition of a data.PartitionIndex over
-// the map task's whole output, which is then never copied apart.
+// selected is the number of records idx selects from recs: all of them
+// when idx is nil.
+func selected(recs []data.Record, idx []uint32) int {
+	if idx == nil {
+		return len(recs)
+	}
+	return len(idx)
+}
+
+// Block encodes the records recs[idx[0]], recs[idx[1]], ... — every record,
+// in order, when idx is nil — as one block, and returns it in the form the
+// store keeps: a copy at its exact size, which the caller owns. idx is
+// typically one partition of a data.PartitionIndex over the map task's whole
+// output, which is then never copied apart. An empty selection encodes
+// nothing and returns a zero-length block without allocating.
 //
 // A block whose keys took the dictionary form is stored plain, whatever its
 // size: the dictionary already found the repeats snappy would look for. A
 // raw-key block is compressed from SmallBlock up, if that shrinks it.
-func (w *BlockWriter) Put(id BlockID, recs []data.Record, idx []uint32) int {
+func (w *BlockWriter) Block(recs []data.Record, idx []uint32) []byte {
+	if selected(recs, idx) == 0 {
+		return []byte{}
+	}
 	var dict bool
 	w.enc, dict = w.keys.AppendColumnar(w.enc[:0], recs, idx)
 	w.scribbleKeys()
@@ -113,36 +147,100 @@ func (w *BlockWriter) Put(id BlockID, recs []data.Record, idx []uint32) int {
 			block = w.comp
 		}
 	}
-	w.store.PutRaw(id, append(make([]byte, 0, len(block)), block...))
-	return len(block)
+	return append(make([]byte, 0, len(block)), block...)
 }
 
-// PutCombined partially aggregates the selected records by (key, time
-// bucket) with f, as Combine does, and stores the aggregates as one block.
-func (w *BlockWriter) PutCombined(id BlockID, recs []data.Record, idx []uint32, f dag.ReduceFunc, bucket TimeBucket) int {
+// CombinedBlock partially aggregates the selected records by (key, time
+// bucket) with f, as Combine does, and returns the aggregates as one block,
+// as Block does.
+func (w *BlockWriter) CombinedBlock(recs []data.Record, idx []uint32, f dag.ReduceFunc, bucket TimeBucket) []byte {
+	if selected(recs, idx) == 0 {
+		return []byte{}
+	}
 	w.table.Fold(recs, idx, f, bucket)
 	w.agg = w.table.Drain(w.agg[:0])
-	return w.Put(id, w.agg, nil)
+	return w.Block(w.agg, nil)
 }
 
-// PutRaw stores pre-encoded bytes under id.
+// Put stores the selected records as block id (see Block) and returns the
+// stored size.
+func (w *BlockWriter) Put(id BlockID, recs []data.Record, idx []uint32) int {
+	b := w.Block(recs, idx)
+	w.store.PutRaw(id, b)
+	return len(b)
+}
+
+// PutCombined stores the selected records, combined, as block id (see
+// CombinedBlock) and returns the stored size.
+func (w *BlockWriter) PutCombined(id BlockID, recs []data.Record, idx []uint32, f dag.ReduceFunc, bucket TimeBucket) int {
+	b := w.CombinedBlock(recs, idx, f, bucket)
+	w.store.PutRaw(id, b)
+	return len(b)
+}
+
+// PutRaw stores pre-encoded bytes under id; nil stores an empty block, as
+// zero-length bytes do (a zero-length block decodes off the wire as nil).
+// id.ReducePartition must not be negative.
 func (s *Store) PutRaw(id BlockID, b []byte) {
-	s.mu.Lock()
-	if old, ok := s.blocks[id]; ok {
-		s.bytes -= int64(len(old))
+	if b == nil {
+		b = []byte{}
 	}
-	s.blocks[id] = b
-	s.bytes += int64(len(b))
+	s.mu.Lock()
+	s.setLocked(s.entryLocked(id.Output(), id.ReducePartition+1), id.ReducePartition, b)
 	s.gaugesLocked()
 	s.mu.Unlock()
 }
 
-// GetRaw returns the encoded bytes of a block.
+// PutOutput stores blocks of map output o under one lock and one lookup:
+// blocks[r], when not nil, is reduce partition r's block, zero-length for
+// an empty one; a nil blocks[r] leaves partition r as it is. The store
+// keeps the block bytes, never blocks itself, which the caller may reuse.
+func (s *Store) PutOutput(o OutputID, blocks [][]byte) {
+	s.mu.Lock()
+	e := s.entryLocked(o, len(blocks))
+	for r, b := range blocks {
+		if b != nil {
+			s.setLocked(e, r, b)
+		}
+	}
+	s.gaugesLocked()
+	s.mu.Unlock()
+}
+
+// entryLocked returns output o's entry, grown to at least n slots; callers
+// hold mu. An entry is sized once, by the first put of its output, unless a
+// later put names a partition past its end.
+func (s *Store) entryLocked(o OutputID, n int) [][]byte {
+	e := s.outputs[o]
+	if len(e) < n {
+		e = append(e, make([][]byte, n-len(e))...)
+		s.outputs[o] = e
+	}
+	return e
+}
+
+// setLocked stores b in slot r of entry e, accounting for the block it
+// replaces; callers hold mu.
+func (s *Store) setLocked(e [][]byte, r int, b []byte) {
+	if old := e[r]; old != nil {
+		s.blocks--
+		s.bytes -= int64(len(old))
+	}
+	e[r] = b
+	s.blocks++
+	s.bytes += int64(len(b))
+}
+
+// GetRaw returns the encoded bytes of a block; an empty block is held and
+// has none.
 func (s *Store) GetRaw(id BlockID) ([]byte, bool) {
 	s.mu.RLock()
-	b, ok := s.blocks[id]
-	s.mu.RUnlock()
-	return b, ok
+	defer s.mu.RUnlock()
+	e := s.outputs[id.Output()]
+	if r := id.ReducePartition; r >= 0 && r < len(e) && e[r] != nil {
+		return e[r], true
+	}
+	return nil, false
 }
 
 // PurgeBefore drops all blocks of micro-batches older than batch
@@ -150,33 +248,40 @@ func (s *Store) GetRaw(id BlockID) ([]byte, bool) {
 // purge watermarks on LaunchTasks so shuffle data from completed groups is
 // garbage collected.
 func (s *Store) PurgeBefore(batch int64) int64 {
-	return s.purge(func(id BlockID) bool { return id.Batch < batch })
+	return s.purge(func(o OutputID) bool { return o.Batch < batch })
 }
 
 // PurgeJob drops every block belonging to the named job, used when a new
 // run of the job is submitted to this worker.
 func (s *Store) PurgeJob(job string) int64 {
-	return s.purge(func(id BlockID) bool { return id.Job == job })
+	return s.purge(func(o OutputID) bool { return o.Job == job })
 }
 
-func (s *Store) purge(drop func(BlockID) bool) int64 {
+func (s *Store) purge(drop func(OutputID) bool) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var freed int64
-	for id, b := range s.blocks {
-		if drop(id) {
-			freed += int64(len(b))
-			delete(s.blocks, id)
+	for o, e := range s.outputs {
+		if !drop(o) {
+			continue
 		}
+		for _, b := range e {
+			if b != nil {
+				s.blocks--
+				freed += int64(len(b))
+			}
+		}
+		delete(s.outputs, o)
 	}
 	s.bytes -= freed
 	s.gaugesLocked()
 	return freed
 }
 
-// Stats reports the block count and total bytes held.
+// Stats reports the blocks held, empty ones included, and their total
+// bytes.
 func (s *Store) Stats() (blocks int, bytes int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.blocks), s.bytes
+	return s.blocks, s.bytes
 }
