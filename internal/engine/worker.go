@@ -309,12 +309,14 @@ func (w *Worker) storePushed(ji *jobInfo, m core.DataReady) {
 	}
 	out := make([][]byte, spec.NumReducers)
 	for _, b := range m.Blocks {
-		if b.Partition >= 0 && b.Partition < len(out) {
-			out[b.Partition] = b.Data
-			if b.Data == nil {
-				out[b.Partition] = []byte{}
-			}
+		if b.Partition < 0 || b.Partition >= len(out) {
+			continue
 		}
+		d := b.Data
+		if d == nil {
+			d = []byte{}
+		}
+		out[b.Partition] = d
 	}
 	w.store.PutOutput(outputOf(m.Dep), out)
 }
