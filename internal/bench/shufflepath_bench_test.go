@@ -97,7 +97,8 @@ func BenchmarkShufflePath(b *testing.B) {
 					closeNanos = func(bt core.BatchID) int64 { return epoch + int64(bt+1)*int64(interval) }
 					// One slot's worth of scratch, as in the engine.
 					index   data.PartitionIndex
-					writer  = shuffle.NewBlockWriter(store)
+					writer  = shuffle.NewBlockWriter()
+					out     = make([][]byte, reduceParts)
 					inflate []byte
 					batches []data.Batch
 					agg     shuffle.AggTable
@@ -113,11 +114,13 @@ func BenchmarkShufflePath(b *testing.B) {
 						index.Build(recs, part)
 						for r := 0; r < reduceParts; r++ {
 							if shape.combine {
-								stored += int64(writer.PutCombined(blockID(bt, m, r), recs, index.Part(r), dag.Sum, bucket))
+								out[r] = writer.CombinedBlock(recs, index.Part(r), dag.Sum, bucket)
 							} else {
-								stored += int64(writer.Put(blockID(bt, m, r), recs, index.Part(r)))
+								out[r] = writer.Block(recs, index.Part(r))
 							}
+							stored += int64(len(out[r]))
 						}
+						store.PutOutput(blockID(bt, m, 0).Output(), out)
 					}
 					for r := 0; r < reduceParts; r++ {
 						inflate, batches = inflate[:0], batches[:0]

@@ -255,7 +255,7 @@ func bareWorker(t testing.TB, job *dag.Job) (*Worker, *slotScratch) {
 	t.Cleanup(net.Close)
 	w := NewWorker("w0", "driver", net, NewRegistry(), DefaultConfig())
 	w.jobs[job.Name] = &jobInfo{name: job.Name, job: job}
-	return w, newSlotScratch(w.store)
+	return w, newSlotScratch()
 }
 
 // shuffleJob is source (stage 0) -> windowed count (stage 1), the shape of

@@ -17,7 +17,7 @@ import (
 // says: a sink that breaks the contract by keeping the slice it was lent
 // reads poison once it has returned, the slot's inflate buffer is
 // scribbled over when the task ends, and the block writer's key dictionary
-// after every block it stores. Without this, a poison run in which the
+// after every block it encodes. Without this, a poison run in which the
 // hooks had quietly become no-ops would pass just the same.
 func TestPoisonSwitchIsLive(t *testing.T) {
 	job := shuffleJob(nil, 1, 1, false)
@@ -74,9 +74,9 @@ func TestPoisonSwitchIsLive(t *testing.T) {
 		t.Fatalf("the op saw payload %q, want a heartbeat", payload)
 	}
 	// The map side: the block writer's key dictionary, index and time
-	// scratch is scribbled after every Put, before the task has ended.
+	// scratch is scribbled after every block, before the task has ended.
 	if !sc.blocks.KeysPoisoned() {
-		t.Fatal("the block writer's key dictionary scratch was not scribbled after its Put")
+		t.Fatal("the block writer's key dictionary scratch was not scribbled after its block")
 	}
 	sc.release()
 	for i, b := range payload {

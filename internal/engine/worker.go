@@ -469,7 +469,7 @@ func (w *Worker) onRestoreState(m core.RestoreState) {
 
 func (w *Worker) slotLoop() {
 	defer w.wg.Done()
-	sc := newSlotScratch(w.store)
+	sc := newSlotScratch()
 	for {
 		select {
 		case <-w.stop:
@@ -507,8 +507,8 @@ type slotScratch struct {
 	agg     shuffle.AggTable
 }
 
-func newSlotScratch(store *shuffle.Store) *slotScratch {
-	return &slotScratch{blocks: shuffle.NewBlockWriter(store)}
+func newSlotScratch() *slotScratch {
+	return &slotScratch{blocks: shuffle.NewBlockWriter()}
 }
 
 // release ends a task's use of the scratch: input and output blocks are
@@ -806,16 +806,16 @@ func (w *Worker) writeShuffleOutput(ji *jobInfo, stage *dag.Stage, id core.TaskI
 		}
 		sizes[r] = int64(len(sc.out[r]))
 	}
-	output := shuffle.OutputID{Job: ji.name, Batch: int64(id.Batch), Stage: id.Stage, MapPartition: id.Partition}
+	dep := core.Dep{Job: ji.name, Batch: id.Batch, Stage: id.Stage, MapPartition: id.Partition}
 
 	if st := spec.Structure; st != nil {
 		// Known communication structure (§3.6, treeReduce): the whole
 		// (combined) output goes to a single consumer partition.
 		target := st.Consumer(id.Partition)
 		encode(target, nil)
-		w.store.PutOutput(output, sc.out)
+		w.store.PutOutput(outputOf(dep), sc.out)
 		if notify {
-			w.notifyConsumers(ji, id, placement, sizes[target], sc.out, func(child, r int) bool {
+			w.notifyConsumers(ji, dep, placement, sizes[target], sc.out, func(child, r int) bool {
 				return r == target
 			})
 		}
@@ -828,9 +828,9 @@ func (w *Worker) writeShuffleOutput(ji *jobInfo, stage *dag.Stage, id core.TaskI
 		encode(r, sc.index.Part(r))
 		total += sizes[r]
 	}
-	w.store.PutOutput(output, sc.out)
+	w.store.PutOutput(outputOf(dep), sc.out)
 	if notify {
-		w.notifyConsumers(ji, id, placement, total, sc.out, func(int, int) bool { return true })
+		w.notifyConsumers(ji, dep, placement, total, sc.out, func(int, int) bool { return true })
 	}
 	return sizes, nil
 }
@@ -841,8 +841,7 @@ func (w *Worker) writeShuffleOutput(ji *jobInfo, stage *dag.Stage, id core.TaskI
 // notification carries the output's small blocks — out[r] is the block
 // stored for partition r, nil if none was — for the partitions it owns; it
 // pulls the large ones. An empty block is small: it rides as zero bytes.
-func (w *Worker) notifyConsumers(ji *jobInfo, id core.TaskID, placement core.Placement, size int64, out [][]byte, include func(child, r int) bool) {
-	dep := core.Dep{Job: ji.name, Batch: id.Batch, Stage: id.Stage, MapPartition: id.Partition}
+func (w *Worker) notifyConsumers(ji *jobInfo, dep core.Dep, placement core.Placement, size int64, out [][]byte, include func(child, r int) bool) {
 	// No membership yet: the MembershipUpdate broadcast was lost. The output
 	// is written and the driver learns the holder from the status report, so
 	// skipping the push is safe — consumers are reactivated by the driver's
@@ -857,7 +856,7 @@ func (w *Worker) notifyConsumers(ji *jobInfo, id core.TaskID, placement core.Pla
 	var ownerBuf [4]rpc.NodeID
 	var blockBuf [4][]core.ReadyBlock
 	owners, blocks := ownerBuf[:0], blockBuf[:0]
-	for _, child := range ji.job.Children(id.Stage) {
+	for _, child := range ji.job.Children(dep.Stage) {
 		n := ji.job.Stages[child].NumPartitions
 		for r := 0; r < n; r++ {
 			if !include(child, r) {

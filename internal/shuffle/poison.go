@@ -20,7 +20,7 @@ func (w *BlockWriter) Scribble() {
 	w.keys.Scribble()
 }
 
-// scribbleKeys overwrites the encoder's scratch after every Put: a stored
+// scribbleKeys overwrites the encoder's scratch after every block: a stored
 // block, or the next block's encoding, that still read from it would read
 // garbage.
 func (w *BlockWriter) scribbleKeys() { w.keys.Scribble() }

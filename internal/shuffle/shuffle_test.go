@@ -67,31 +67,33 @@ func TestStorePurgeBefore(t *testing.T) {
 }
 
 // TestEmptySelectionStoresNothing: a block of no records is never encoded.
-// Put and PutCombined of an empty selection — an empty index, or no records
-// at all — store a zero-length block, held and empty, in place of what the
-// block held before, report 0 bytes, and allocate nothing.
+// Block and CombinedBlock of an empty selection — an empty index, or no
+// records at all — return a zero-length block without allocating, and the
+// store holds that block, empty and of 0 bytes, in place of what the slot
+// held before.
 func TestEmptySelectionStoresNothing(t *testing.T) {
 	store := NewStore()
-	writer := NewBlockWriter(store)
+	writer := NewBlockWriter()
 	recs := []data.Record{{Key: 1, Val: 1}, {Key: 2, Val: 2}}
 	for _, tc := range []struct {
-		name string
-		put  func(BlockID) int
+		name  string
+		block func() []byte
 	}{
-		{"Put, empty index", func(id BlockID) int { return writer.Put(id, recs, []uint32{}) }},
-		{"Put, no records", func(id BlockID) int { return writer.Put(id, nil, nil) }},
-		{"PutCombined, empty index", func(id BlockID) int { return writer.PutCombined(id, recs, []uint32{}, dag.Sum, IdentityBucket) }},
-		{"PutCombined, no records", func(id BlockID) int { return writer.PutCombined(id, nil, nil, dag.Sum, IdentityBucket) }},
+		{"Block, empty index", func() []byte { return writer.Block(recs, []uint32{}) }},
+		{"Block, no records", func() []byte { return writer.Block(nil, nil) }},
+		{"CombinedBlock, empty index", func() []byte { return writer.CombinedBlock(recs, []uint32{}, dag.Sum, IdentityBucket) }},
+		{"CombinedBlock, no records", func() []byte { return writer.CombinedBlock(nil, nil, dag.Sum, IdentityBucket) }},
 	} {
 		id := BlockID{Job: tc.name, ReducePartition: 3}
-		writer.Put(id, recs, nil)
-		size := -1
-		if allocs := testing.AllocsPerRun(20, func() { size = tc.put(id) }); allocs != 0 {
+		store.PutRaw(id, writer.Block(recs, nil))
+		var b []byte
+		if allocs := testing.AllocsPerRun(20, func() { b = tc.block() }); allocs != 0 {
 			t.Errorf("%s: %v allocations, want 0", tc.name, allocs)
 		}
-		if size != 0 {
-			t.Errorf("%s: reported %d bytes, want 0", tc.name, size)
+		if b == nil || len(b) != 0 {
+			t.Errorf("%s: returned %v, want a zero-length block", tc.name, b)
 		}
+		store.PutRaw(id, b)
 		if raw, ok := store.GetRaw(id); !ok || raw == nil || len(raw) != 0 {
 			t.Errorf("%s: stored block is %v (held %v), want a held zero-length block", tc.name, raw, ok)
 		}
@@ -186,8 +188,7 @@ func TestPutCombinedMatchesNaiveAggregation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	win := dag.WindowSpec{Size: 10 * time.Millisecond}
 	bucket := WindowBucket(win)
-	store := NewStore()
-	writer := NewBlockWriter(store)
+	writer := NewBlockWriter()
 	var index data.PartitionIndex
 	for task, n := range []int{3000, 10, 0, 800} {
 		const reducers = 3
@@ -203,13 +204,7 @@ func TestPutCombinedMatchesNaiveAggregation(t *testing.T) {
 		}
 		index.Build(recs, part)
 		for r := 0; r < reducers; r++ {
-			id := BlockID{Batch: int64(task), ReducePartition: r}
-			size := writer.PutCombined(id, recs, index.Part(r), dag.Sum, bucket)
-			raw, ok := store.GetRaw(id)
-			if !ok || len(raw) != size {
-				t.Fatalf("task %d reducer %d: stored=%v, %d bytes, PutCombined reported %d", task, r, ok, len(raw), size)
-			}
-			out, err := decodeStored(raw)
+			out, err := decodeStored(writer.CombinedBlock(recs, index.Part(r), dag.Sum, bucket))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,9 +235,7 @@ func TestPutCombinedIsDeterministic(t *testing.T) {
 	bucket := WindowBucket(dag.WindowSpec{Size: 10 * time.Millisecond})
 	var first []byte
 	for w := 0; w < 20; w++ {
-		store := NewStore()
-		NewBlockWriter(store).PutCombined(BlockID{}, recs, nil, dag.Sum, bucket)
-		got, _ := store.GetRaw(BlockID{})
+		got := NewBlockWriter().CombinedBlock(recs, nil, dag.Sum, bucket)
 		if w == 0 {
 			first = got
 		} else if !bytes.Equal(got, first) {
@@ -386,9 +379,9 @@ func TestFetchEmptyBlock(t *testing.T) {
 	store, fetcher, _ := fetchHarness(t)
 	full := BlockID{Batch: 3, MapPartition: 1, ReducePartition: 0}
 	empty := BlockID{Batch: 3, MapPartition: 1, ReducePartition: 1}
-	writer := NewBlockWriter(store)
-	writer.Put(full, []data.Record{{Key: 7, Val: 70}}, nil)
-	writer.Put(empty, nil, nil)
+	writer := NewBlockWriter()
+	store.PutRaw(full, writer.Block([]data.Record{{Key: 7, Val: 70}}, nil))
+	store.PutRaw(empty, writer.Block(nil, nil))
 	blocks, err := fetcher.Fetch("holder", []BlockID{full, empty}, time.Second)
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
@@ -564,7 +557,7 @@ func TestStoreRuleFollowsKeyForm(t *testing.T) {
 	for i := range hot {
 		hot[i] = rng.Uint64()
 	}
-	writer := NewBlockWriter(NewStore())
+	writer := NewBlockWriter()
 	for _, tc := range []struct {
 		name             string
 		n                int
@@ -580,9 +573,8 @@ func TestStoreRuleFollowsKeyForm(t *testing.T) {
 		for i := range recs {
 			recs[i] = data.Record{Key: tc.key(i), Val: 1, Time: 1_700_000_000_000_000_000 + int64(i)*16_000}
 		}
-		id := BlockID{Job: tc.name}
-		size := writer.Put(id, recs, nil)
-		raw, _ := writer.store.GetRaw(id)
+		raw := writer.Block(recs, nil)
+		size := len(raw)
 		compressed, dict := storedForm(t, raw)
 		if compressed != tc.compressed || dict != tc.dict {
 			t.Errorf("%s: %d-byte block stored compressed=%v dictionary=%v, want %v and %v",
@@ -606,7 +598,7 @@ func TestStoreRuleFollowsKeyForm(t *testing.T) {
 func TestPutCombinedOfOneWindowKeepsRawKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	win := dag.WindowSpec{Size: 100 * time.Millisecond}
-	writer := NewBlockWriter(NewStore())
+	writer := NewBlockWriter()
 	var index data.PartitionIndex
 	for trial := 0; trial < 100; trial++ {
 		recs := make([]data.Record, 1+rng.Intn(20_000))
@@ -622,9 +614,7 @@ func TestPutCombinedOfOneWindowKeepsRawKeys(t *testing.T) {
 		reducers := 1 + rng.Intn(4)
 		index.Build(recs, data.NewHashPartitioner(reducers))
 		for r := 0; r < reducers; r++ {
-			id := BlockID{Batch: int64(trial), ReducePartition: r}
-			writer.PutCombined(id, recs, index.Part(r), dag.Sum, bucket)
-			raw, _ := writer.store.GetRaw(id)
+			raw := writer.CombinedBlock(recs, index.Part(r), dag.Sum, bucket)
 			if compressed, dict := storedForm(t, raw); dict || (len(raw) >= SmallBlock && !compressed) {
 				t.Fatalf("trial %d reducer %d: combined block of %d bytes stored compressed=%v dictionary=%v",
 					trial, r, len(raw), compressed, dict)

@@ -82,16 +82,21 @@ func (s *Store) gaugesLocked() {
 	s.gBytes.Set(float64(s.bytes))
 }
 
-// Put encodes recs (block format v2; snappy-compressed from SmallBlock up
-// unless the keys took the dictionary form) and stores them under id,
-// returning the stored size; no records store an empty block of 0 bytes.
-// Re-putting a block (recovery re-runs a map task) overwrites it. The stored
-// bytes are what remote fetchers receive verbatim: encoding — and
-// compression — happens exactly once, here, never on the serving path.
-// Callers that write block after block keep a BlockWriter instead, which
-// reuses its buffers.
+// Put encodes recs as one block (see BlockWriter.Block) and stores it
+// under id, returning the stored size. Re-putting a block (recovery re-runs
+// a map task) overwrites it. Unlike the engine's writer, Put encodes an
+// empty recs too: it stores the empty batch's encoding, which reads back as
+// no records, as a zero-length block does. Put is the store's whole write
+// path in one call; the benchmark's replay times it step by step, as
+// data.EncodeBatchColumnar and data.CompressBatch, and checks that the
+// steps produce the bytes Put stores.
 func (s *Store) Put(id BlockID, recs []data.Record) int {
-	return NewBlockWriter(s).Put(id, recs, nil)
+	b := data.EncodeBatchColumnar(nil, nil)
+	if len(recs) > 0 {
+		b = NewBlockWriter().Block(recs, nil)
+	}
+	s.PutRaw(id, b)
+	return len(b)
 }
 
 // BlockWriter encodes map output block by block, reusing its encoder's key
@@ -101,9 +106,8 @@ func (s *Store) Put(id BlockID, recs []data.Record) int {
 // is not safe for concurrent use.
 //
 // Nothing passed to a BlockWriter is retained: recs and idx are read during
-// the call only, and every block it returns or stores is a copy.
+// the call only, and every block it returns is a copy.
 type BlockWriter struct {
-	store *Store
 	keys  data.Encoder // key dictionary and time column scratch behind enc
 	enc   []byte       // encoding of the block being written
 	comp  []byte       // its compressed envelope
@@ -111,8 +115,8 @@ type BlockWriter struct {
 	agg   []data.Record // the table's drained output, reused per block
 }
 
-// NewBlockWriter returns a writer storing into s.
-func NewBlockWriter(s *Store) *BlockWriter { return &BlockWriter{store: s} }
+// NewBlockWriter returns a writer with empty buffers.
+func NewBlockWriter() *BlockWriter { return &BlockWriter{} }
 
 // selected is the number of records idx selects from recs: all of them
 // when idx is nil.
@@ -160,22 +164,6 @@ func (w *BlockWriter) CombinedBlock(recs []data.Record, idx []uint32, f dag.Redu
 	w.table.Fold(recs, idx, f, bucket)
 	w.agg = w.table.Drain(w.agg[:0])
 	return w.Block(w.agg, nil)
-}
-
-// Put stores the selected records as block id (see Block) and returns the
-// stored size.
-func (w *BlockWriter) Put(id BlockID, recs []data.Record, idx []uint32) int {
-	b := w.Block(recs, idx)
-	w.store.PutRaw(id, b)
-	return len(b)
-}
-
-// PutCombined stores the selected records, combined, as block id (see
-// CombinedBlock) and returns the stored size.
-func (w *BlockWriter) PutCombined(id BlockID, recs []data.Record, idx []uint32, f dag.ReduceFunc, bucket TimeBucket) int {
-	b := w.CombinedBlock(recs, idx, f, bucket)
-	w.store.PutRaw(id, b)
-	return len(b)
 }
 
 // PutRaw stores pre-encoded bytes under id; nil stores an empty block, as
