@@ -173,24 +173,35 @@ func TestPlanGroup(t *testing.T) {
 	}
 }
 
-func TestPlanStageKnownLocations(t *testing.T) {
-	g := &GroupPlanner{JobName: "t", Job: testJob(), StartNanos: time.Now().UnixNano()}
-	p := NewPlacement(1, workers(2))
-	locs := map[Dep]rpc.NodeID{}
-	for m := 0; m < 4; m++ {
-		locs[Dep{Job: "t", Batch: 3, Stage: 0, MapPartition: m}] = "a"
-	}
-	_, all := g.PlanStage(p, 3, 1, 0, locs)
-	if len(all) != 2 {
-		t.Fatalf("planned %d reduce tasks, want 2", len(all))
-	}
-	for _, d := range all {
-		if d.NotifyDownstream {
-			t.Fatal("BSP stage plan must not enable pre-scheduling notifications")
-		}
-		if len(d.KnownLocations) != 4 {
-			t.Fatalf("task %v has %d known locations, want 4", d.ID, len(d.KnownLocations))
-		}
+// TestLocalSchedulerTimeGatedRemoval: a task still behind its NotBefore
+// gate that is removed by Cancel, CancelAttempts, PurgeJob or Close never
+// reaches Runnable, not even once its gate time has passed.
+func TestLocalSchedulerTimeGatedRemoval(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		remove func(ls *LocalScheduler, id TaskID)
+	}{
+		{"Cancel", func(ls *LocalScheduler, id TaskID) { ls.Cancel([]TaskID{id}) }},
+		{"CancelAttempts", func(ls *LocalScheduler, id TaskID) { ls.CancelAttempts([]TaskAttempt{{ID: id, Attempt: 2}}) }},
+		{"PurgeJob", func(ls *LocalScheduler, id TaskID) { ls.PurgeJob("j") }},
+		{"Close", func(ls *LocalScheduler, id TaskID) { ls.Close() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ls := NewLocalScheduler(16)
+			defer ls.Close()
+			id := TaskID{Batch: 1}
+			notBefore := time.Now().Add(20 * time.Millisecond)
+			ls.Add(TaskDescriptor{Job: "j", ID: id, Attempt: 2, NotBefore: notBefore.UnixNano()})
+			c.remove(ls, id)
+			if n := ls.PendingCount(); n != 0 {
+				t.Fatalf("%d tasks still pending after %s", n, c.name)
+			}
+			select {
+			case rt := <-ls.Runnable():
+				t.Fatalf("task %v released after %s removed it", rt.Desc.ID, c.name)
+			case <-time.After(time.Until(notBefore) + 30*time.Millisecond):
+			}
+		})
 	}
 }
 

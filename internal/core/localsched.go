@@ -30,7 +30,6 @@ type LocalScheduler struct {
 	waiting  map[Dep][]*pendingTask // tasks blocked on a dep
 	ready    map[Dep]rpc.NodeID     // satisfied deps and their holders
 	runnable chan RunnableTask
-	timers   map[TaskID]*time.Timer
 	closed   bool
 }
 
@@ -40,6 +39,7 @@ type pendingTask struct {
 	missing   int
 	timeOK    bool
 	released  bool
+	timer     *time.Timer // the NotBefore gate while it is closed
 }
 
 // NewLocalScheduler returns a scheduler delivering runnable tasks on a
@@ -53,7 +53,6 @@ func NewLocalScheduler(queueLen int) *LocalScheduler {
 		waiting:  make(map[Dep][]*pendingTask),
 		ready:    make(map[Dep]rpc.NodeID),
 		runnable: make(chan RunnableTask, queueLen),
-		timers:   make(map[TaskID]*time.Timer),
 	}
 }
 
@@ -108,20 +107,18 @@ func (ls *LocalScheduler) Add(desc TaskDescriptor) {
 	if desc.NotBefore > 0 {
 		if wait := time.Until(time.Unix(0, desc.NotBefore)); wait > 0 {
 			pt.timeOK = false
-			id := desc.ID
-			ls.timers[id] = time.AfterFunc(wait, func() { ls.timeReady(id) })
+			pt.timer = time.AfterFunc(wait, func() { ls.timeReady(pt) })
 		}
 	}
 	ls.pending[desc.ID] = pt
 	ls.maybeReleaseLocked(pt)
 }
 
-func (ls *LocalScheduler) timeReady(id TaskID) {
+func (ls *LocalScheduler) timeReady(pt *pendingTask) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	delete(ls.timers, id)
-	pt, ok := ls.pending[id]
-	if !ok {
+	pt.timer = nil
+	if pt.released {
 		return
 	}
 	pt.timeOK = true
@@ -159,16 +156,22 @@ func (ls *LocalScheduler) maybeReleaseLocked(pt *pendingTask) {
 	if pt.released || pt.missing > 0 || !pt.timeOK {
 		return
 	}
-	pt.released = true
-	delete(ls.pending, pt.desc.ID)
-	if t, ok := ls.timers[pt.desc.ID]; ok {
-		t.Stop()
-		delete(ls.timers, pt.desc.ID)
-	}
+	ls.dropLocked(pt)
 	ls.runnable <- RunnableTask{
 		Desc:      pt.desc,
 		Locations: pt.locations,
 		ReadyAt:   time.Now(),
+	}
+}
+
+// dropLocked takes a task out of the scheduler: it leaves pending, its
+// waiter entries go stale and its time gate stops.
+func (ls *LocalScheduler) dropLocked(pt *pendingTask) {
+	pt.released = true
+	delete(ls.pending, pt.desc.ID)
+	if pt.timer != nil {
+		pt.timer.Stop()
+		pt.timer = nil
 	}
 }
 
@@ -179,17 +182,10 @@ func (ls *LocalScheduler) Cancel(ids []TaskID) []TaskID {
 	defer ls.mu.Unlock()
 	var cancelled []TaskID
 	for _, id := range ids {
-		pt, ok := ls.pending[id]
-		if !ok {
-			continue
+		if pt, ok := ls.pending[id]; ok {
+			ls.dropLocked(pt)
+			cancelled = append(cancelled, id)
 		}
-		pt.released = true // poisons any waiter entries
-		delete(ls.pending, id)
-		if t, ok := ls.timers[id]; ok {
-			t.Stop()
-			delete(ls.timers, id)
-		}
-		cancelled = append(cancelled, id)
 	}
 	return cancelled
 }
@@ -207,12 +203,7 @@ func (ls *LocalScheduler) CancelAttempts(tas []TaskAttempt) []TaskAttempt {
 		if !ok || pt.desc.Attempt != ta.Attempt {
 			continue
 		}
-		pt.released = true // poisons any waiter entries
-		delete(ls.pending, ta.ID)
-		if t, ok := ls.timers[ta.ID]; ok {
-			t.Stop()
-			delete(ls.timers, ta.ID)
-		}
+		ls.dropLocked(pt)
 		cancelled = append(cancelled, ta)
 	}
 	return cancelled
@@ -253,17 +244,16 @@ func (ls *LocalScheduler) PurgeJob(job string) {
 			delete(ls.ready, d)
 		}
 	}
-	for id, pt := range ls.pending {
-		if pt.desc.Job != job {
-			continue
-		}
-		pt.released = true // poisons waiter entries
-		delete(ls.pending, id)
-		if t, ok := ls.timers[id]; ok {
-			t.Stop()
-			delete(ls.timers, id)
+	for _, pt := range ls.pending {
+		if pt.desc.Job == job {
+			ls.dropLocked(pt)
 		}
 	}
+	ls.compactWaitersLocked()
+}
+
+// compactWaitersLocked drops waiter entries of tasks no longer pending.
+func (ls *LocalScheduler) compactWaitersLocked() {
 	for d, waiters := range ls.waiting {
 		live := waiters[:0]
 		for _, pt := range waiters {
@@ -290,19 +280,7 @@ func (ls *LocalScheduler) Purge(before BatchID) {
 			delete(ls.ready, d)
 		}
 	}
-	for d, waiters := range ls.waiting {
-		live := waiters[:0]
-		for _, pt := range waiters {
-			if !pt.released {
-				live = append(live, pt)
-			}
-		}
-		if len(live) == 0 {
-			delete(ls.waiting, d)
-		} else {
-			ls.waiting[d] = live
-		}
-	}
+	ls.compactWaitersLocked()
 }
 
 // PendingCount reports how many tasks are registered but not yet runnable.
@@ -325,11 +303,7 @@ func (ls *LocalScheduler) Close() {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	ls.closed = true
-	for id, t := range ls.timers {
-		t.Stop()
-		delete(ls.timers, id)
-	}
-	for id := range ls.pending {
-		delete(ls.pending, id)
+	for _, pt := range ls.pending {
+		ls.dropLocked(pt)
 	}
 }

@@ -169,15 +169,6 @@ func (p Placement) assignWeighted(stage, partition int) rpc.NodeID {
 	return best
 }
 
-// AssignStage returns the owners of all partitions of a stage.
-func (p Placement) AssignStage(stage, numPartitions int) []rpc.NodeID {
-	out := make([]rpc.NodeID, numPartitions)
-	for i := range out {
-		out[i] = p.Assign(stage, i)
-	}
-	return out
-}
-
 // rendezvousScore hashes (worker, stage, partition). The worker id bytes go
 // through FNV-1a; the coordinates are folded in and the result is run
 // through a murmur3-style finalizer, which diffuses low-bit coordinate

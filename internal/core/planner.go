@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"drizzle/internal/dag"
 	"drizzle/internal/rpc"
 )
@@ -65,27 +63,17 @@ func (g *GroupPlanner) DepsOf(b BatchID, stage, partition int) []Dep {
 
 // PlanGroup produces the per-worker descriptor bundles for batches
 // [first, first+size), plus the flat descriptor list for driver
-// bookkeeping. preSchedule selects whether downstream tasks are launched up
-// front with worker-to-worker notification (Drizzle / pre-scheduling) —
-// when false the caller (BSP driver) is expected to plan stage-by-stage
-// with PlanStage instead.
+// bookkeeping. Every task is pre-scheduled with worker-to-worker
+// notification (Drizzle); the BSP driver plans stage by stage with
+// PlanStage instead.
 func (g *GroupPlanner) PlanGroup(p Placement, first BatchID, size int, group int64) (map[rpc.NodeID][]TaskDescriptor, []TaskDescriptor) {
 	byWorker := make(map[rpc.NodeID][]TaskDescriptor)
 	var all []TaskDescriptor
 	for b := first; b < first+BatchID(size); b++ {
 		for si := range g.Job.Stages {
-			stage := &g.Job.Stages[si]
-			for part := 0; part < stage.NumPartitions; part++ {
-				desc := TaskDescriptor{
-					Job:              g.JobName,
-					ID:               TaskID{Batch: b, Stage: si, Partition: part},
-					Deps:             g.DepsOf(b, si, part),
-					NotifyDownstream: true,
-					Group:            group,
-				}
-				if stage.IsSource() {
-					desc.NotBefore = g.BatchCloseNanos(b)
-				}
+			for part := 0; part < g.Job.Stages[si].NumPartitions; part++ {
+				desc := g.task(b, si, part, group)
+				desc.NotifyDownstream = true
 				w := p.Assign(si, part)
 				byWorker[w] = append(byWorker[w], desc)
 				all = append(all, desc)
@@ -96,31 +84,13 @@ func (g *GroupPlanner) PlanGroup(p Placement, first BatchID, size int, group int
 }
 
 // PlanStage produces descriptors for a single stage of a single batch — the
-// BSP (per-micro-batch, per-stage) scheduling path. locations carries the
-// dependency locations collected at the driver's barrier.
-func (g *GroupPlanner) PlanStage(p Placement, b BatchID, stage int, group int64, locations map[Dep]rpc.NodeID) (map[rpc.NodeID][]TaskDescriptor, []TaskDescriptor) {
+// BSP (per-micro-batch, per-stage) scheduling path. The caller stamps the
+// dependency locations it collected at its barrier.
+func (g *GroupPlanner) PlanStage(p Placement, b BatchID, stage int, group int64) (map[rpc.NodeID][]TaskDescriptor, []TaskDescriptor) {
 	byWorker := make(map[rpc.NodeID][]TaskDescriptor)
 	var all []TaskDescriptor
-	s := &g.Job.Stages[stage]
-	for part := 0; part < s.NumPartitions; part++ {
-		desc := TaskDescriptor{
-			Job:   g.JobName,
-			ID:    TaskID{Batch: b, Stage: stage, Partition: part},
-			Deps:  g.DepsOf(b, stage, part),
-			Group: group,
-		}
-		if s.IsSource() {
-			desc.NotBefore = g.BatchCloseNanos(b)
-		}
-		if len(desc.Deps) > 0 {
-			known := make([]DepLocation, 0, len(desc.Deps))
-			for _, d := range desc.Deps {
-				if loc, ok := locations[d]; ok {
-					known = append(known, DepLocation{Dep: d, Node: loc})
-				}
-			}
-			desc.KnownLocations = known
-		}
+	for part := 0; part < g.Job.Stages[stage].NumPartitions; part++ {
+		desc := g.task(b, stage, part, group)
 		w := p.Assign(stage, part)
 		byWorker[w] = append(byWorker[w], desc)
 		all = append(all, desc)
@@ -128,8 +98,12 @@ func (g *GroupPlanner) PlanStage(p Placement, b BatchID, stage int, group int64,
 	return byWorker, all
 }
 
-// GroupSpan returns the wall-clock duration a group of the given size
-// covers.
-func (g *GroupPlanner) GroupSpan(size int) time.Duration {
-	return time.Duration(size) * g.Job.Interval
+// task is the descriptor of one task of group, without notification: a
+// source task is gated on its batch's close.
+func (g *GroupPlanner) task(b BatchID, stage, part int, group int64) TaskDescriptor {
+	desc := TaskDescriptor{Job: g.JobName, ID: TaskID{Batch: b, Stage: stage, Partition: part}, Deps: g.DepsOf(b, stage, part), Group: group}
+	if g.Job.Stages[stage].IsSource() {
+		desc.NotBefore = g.BatchCloseNanos(b)
+	}
+	return desc
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -659,9 +660,9 @@ func (d *Driver) seedRecovery(rs *runState, resumeFrom core.BatchID) error {
 			replayFrom = snapBatch + 1
 		}
 	}
-	if replayFrom < 0 {
-		replayFrom = 0
-	}
+	replayFrom = max(replayFrom, 0)
+	// This incarnation's table starts at the oldest batch it replays.
+	rs.dropBefore(replayFrom)
 	if replayFrom >= resumeFrom {
 		return nil // snapshots already cover everything committed
 	}
@@ -707,11 +708,15 @@ type runState struct {
 	// that hold state, in (stage, partition) order.
 	stateKeys []checkpoint.StateKey
 
-	outstanding map[core.TaskID]rpc.NodeID // incomplete task -> assigned worker
-	completed   map[core.TaskID]bool
-	attempts    map[core.TaskID]int
-	mapHolders  map[core.Dep]rpc.NodeID // lineage: completed shuffle outputs
-	relay       map[core.TaskID]bool    // recovery tasks whose DataReady the driver relays
+	// rows holds a taskRow per task of batches base through the last one
+	// planned, in task order (see index); peers holds each (batch, stage)'s
+	// straggler progress. base only advances, to the purge watermark, and
+	// the batches below it drop off the front of both.
+	rows        []taskRow
+	peers       []peerStat
+	base        core.BatchID
+	stageOffset []int // each stage's first row within a batch
+	perBatch    int   // tasks per batch
 	// restores records, per terminal partition moved by recovery or
 	// migration, the batch of the snapshot its new owner must restore
 	// before applying later batches. The entry sets the MinState floor on
@@ -725,24 +730,10 @@ type runState struct {
 	groupSize  int
 	ckptBatch  core.BatchID // last batch covered by a requested checkpoint
 
-	// launched records when each outstanding task was first handed to a
-	// worker; combined with the batch-close floor it gives the straggler
-	// detector an elapsed time for running tasks.
-	launched map[core.TaskID]time.Time
 	// durs is a ring of the last completed task durations (ms); durSeen
 	// counts all completions, and durSeen%len(durs) is the write cursor.
 	durs    []float64
 	durSeen int
-	// spec tracks the in-flight speculative copy per task (at most one),
-	// and specSeq allocates attempt numbers.
-	spec    map[core.TaskID]specAttempt
-	specSeq map[core.TaskID]int
-	// peers records, per (batch, stage), when the first task completed and
-	// how many have: the straggler detector only trusts a task's elapsed
-	// time once enough of its batch peers finished, so a run that is merely
-	// behind schedule (boundary congestion, recovery replay) does not flag
-	// every task at once.
-	peers map[[2]int64]*peerStat
 	// retryQ holds delayed resubmissions, at most one per task.
 	retryQ []retryEntry
 	// shrinkPending asks the Run loop to force the tuner to MinGroup at the
@@ -764,20 +755,11 @@ type runState struct {
 // numBatches micro-batches.
 func newRunState(planner *core.GroupPlanner, numBatches int, mode Mode) *runState {
 	rs := &runState{
-		planner:     planner,
-		jobName:     planner.JobName,
-		numBatches:  core.BatchID(numBatches),
-		outstanding: make(map[core.TaskID]rpc.NodeID),
-		completed:   make(map[core.TaskID]bool),
-		attempts:    make(map[core.TaskID]int),
-		mapHolders:  make(map[core.Dep]rpc.NodeID),
-		relay:       make(map[core.TaskID]bool),
-		restores:    make(map[checkpoint.StateKey]core.BatchID),
-		launched:    make(map[core.TaskID]time.Time),
-		spec:        make(map[core.TaskID]specAttempt),
-		specSeq:     make(map[core.TaskID]int),
-		peers:       make(map[[2]int64]*peerStat),
-		ckptBatch:   -1,
+		planner:    planner,
+		jobName:    planner.JobName,
+		numBatches: core.BatchID(numBatches),
+		restores:   make(map[checkpoint.StateKey]core.BatchID),
+		ckptBatch:  -1,
 		stats: &RunStats{
 			Mode:       mode,
 			Batches:    numBatches,
@@ -787,6 +769,8 @@ func newRunState(planner *core.GroupPlanner, numBatches int, mode Mode) *runStat
 		},
 	}
 	for si := range planner.Job.Stages {
+		rs.stageOffset = append(rs.stageOffset, rs.perBatch)
+		rs.perBatch += planner.Job.Stages[si].NumPartitions
 		if stage := &planner.Job.Stages[si]; stage.IsTerminal() && stage.Window != nil {
 			for p := 0; p < stage.NumPartitions; p++ {
 				rs.stateKeys = append(rs.stateKeys, checkpoint.StateKey{Job: planner.JobName, Stage: si, Partition: p})
@@ -794,6 +778,102 @@ func newRunState(planner *core.GroupPlanner, numBatches int, mode Mode) *runStat
 		}
 	}
 	return rs
+}
+
+// taskState is where a task stands in its run.
+type taskState uint8
+
+const (
+	taskPlanned     taskState = iota // in the table, never registered or resubmitted
+	taskOutstanding                  // handed to worker, not committed yet
+	taskDone                         // committed
+)
+
+// taskRow is the driver's bookkeeping for one task.
+type taskRow struct {
+	state    taskState
+	relay    bool        // a recovery task whose DataReady the driver relays
+	attempts int         // failures charged against MaxTaskAttempts
+	worker   rpc.NodeID  // the worker an outstanding task is assigned to
+	holder   rpc.NodeID  // lineage: who holds the committed shuffle output
+	launched time.Time   // when an outstanding task was handed out, for the straggler clock
+	spec     specAttempt // the in-flight speculative copy, worker "" if none
+	specSeq  int         // the last speculative attempt number allocated
+}
+
+// at returns a task's row, or nil for a task outside the table: below
+// base, past the last batch planned, or naming no task of the job.
+func (rs *runState) at(id core.TaskID) *taskRow {
+	if id.Batch < rs.base || id.Batch-rs.base >= core.BatchID(rs.batches()) ||
+		id.Stage < 0 || id.Stage >= len(rs.stageOffset) ||
+		id.Partition < 0 || id.Partition >= rs.planner.Job.Stages[id.Stage].NumPartitions {
+		return nil
+	}
+	return &rs.rows[rs.index(id)]
+}
+
+// row returns a task's row, extending the table through its batch. No task
+// below base is addressed: nothing re-runs a batch the watermark passed.
+func (rs *runState) row(id core.TaskID) *taskRow {
+	rs.grow(id.Batch)
+	return &rs.rows[rs.index(id)]
+}
+
+// index is a task's row: (batch − base) × perBatch + stageOffset[stage] +
+// partition.
+func (rs *runState) index(id core.TaskID) int {
+	return int(id.Batch-rs.base)*rs.perBatch + rs.stageOffset[id.Stage] + id.Partition
+}
+
+// taskAt is the task of row i, the inverse of index.
+func (rs *runState) taskAt(i int) core.TaskID {
+	off := i % rs.perBatch
+	s := sort.SearchInts(rs.stageOffset, off+1) - 1
+	return core.TaskID{Batch: rs.base + core.BatchID(i/rs.perBatch), Stage: s, Partition: off - rs.stageOffset[s]}
+}
+
+// peer is the straggler detector's progress of a task's (batch, stage).
+func (rs *runState) peer(id core.TaskID) *peerStat {
+	return &rs.peers[int(id.Batch-rs.base)*len(rs.stageOffset)+id.Stage]
+}
+
+// batches is the number of batches the table holds.
+func (rs *runState) batches() int { return len(rs.rows) / max(rs.perBatch, 1) }
+
+// grow extends the table with planned rows through batch b.
+func (rs *runState) grow(b core.BatchID) {
+	if n := int(b-rs.base) + 1; n > rs.batches() {
+		rs.rows = append(rs.rows, make([]taskRow, n*rs.perBatch-len(rs.rows))...)
+		rs.peers = append(rs.peers, make([]peerStat, n*len(rs.stageOffset)-len(rs.peers))...)
+	}
+}
+
+// dropBefore advances base to b; the batches below it drop off the table.
+func (rs *runState) dropBefore(b core.BatchID) {
+	if b <= rs.base {
+		return
+	}
+	// Deleting shifts the rest down in place, so a run reuses one array.
+	k := min(int(b-rs.base), rs.batches())
+	rs.rows = slices.Delete(rs.rows, 0, k*rs.perBatch)
+	rs.peers = slices.Delete(rs.peers, 0, k*len(rs.stageOffset))
+	rs.base = b
+}
+
+// knownLocations lists the dependencies whose recorded holder is live: the
+// locations a descriptor carries, nil for a task that reads nothing.
+func (rs *runState) knownLocations(deps []core.Dep) []core.DepLocation {
+	if len(deps) == 0 {
+		return nil
+	}
+	known := make([]core.DepLocation, 0, len(deps))
+	for _, dep := range deps {
+		r := rs.at(core.TaskID{Batch: dep.Batch, Stage: dep.Stage, Partition: dep.MapPartition})
+		if r != nil && rs.placement.Contains(r.holder) {
+			known = append(known, core.DepLocation{Dep: dep, Node: r.holder})
+		}
+	}
+	return known
 }
 
 // stampTraceSpans writes the scheduling span's ID into every planned
@@ -825,7 +905,7 @@ func (d *Driver) runGroupDrizzle(rs *runState, first core.BatchID, g int, seq in
 	sspan := tr.BeginAt("group.schedule", gspan.ID(), coordStart)
 	sspan.SetNode(string(d.id))
 	byWorker, all := rs.planner.PlanGroup(rs.placement, first, g, seq)
-	d.stampFloors(rs, byWorker)
+	d.stampFloors(rs, byWorker, false)
 	rs.register(byWorker, time.Now())
 	// Decisions are made once for the first micro-batch and reused for the
 	// remaining g-1 (§3.1): that reuse is what group scheduling amortizes.
@@ -839,7 +919,7 @@ func (d *Driver) runGroupDrizzle(rs *runState, first core.BatchID, g int, seq in
 	purge := d.purgeWatermark(rs)
 	d.launch(byWorker, purge)
 	lspan.End()
-	pruneHolders(rs.mapHolders, purge)
+	rs.dropBefore(purge)
 	coord = time.Since(coordStart)
 
 	execStart := time.Now()
@@ -870,8 +950,8 @@ func (d *Driver) runBatchBSP(rs *runState, b core.BatchID, seq int64) (coord, ex
 		sspan := tr.BeginAt("group.schedule", gspan.ID(), coordStart)
 		sspan.SetNode(string(d.id))
 		sspan.SetTask(int64(b), si, 0, 0)
-		byWorker, all := rs.planner.PlanStage(rs.placement, b, si, seq, rs.mapHolders)
-		d.stampFloors(rs, byWorker)
+		byWorker, all := rs.planner.PlanStage(rs.placement, b, si, seq)
+		d.stampFloors(rs, byWorker, true)
 		rs.register(byWorker, time.Now())
 		d.chargeCosts(len(all), 0, len(byWorker))
 		schedID := sspan.End()
@@ -894,7 +974,7 @@ func (d *Driver) runBatchBSP(rs *runState, b core.BatchID, seq int64) (coord, ex
 		exec += time.Since(execStart)
 	}
 	gspan.End()
-	pruneHolders(rs.mapHolders, d.purgeWatermark(rs))
+	rs.dropBefore(d.purgeWatermark(rs))
 	return coord, exec, nil
 }
 
@@ -994,7 +1074,7 @@ func (d *Driver) migrateState(rs *runState, oldP, newP core.Placement) {
 		snapBatch := d.sendRestore(rs, key)
 		rs.restores[key] = snapBatch
 		var ids []core.TaskID
-		for b := max(snapBatch+1, 0); b <= upTo; b++ {
+		for b := max(snapBatch+1, rs.base); b <= upTo; b++ {
 			ids = append(ids, core.TaskID{Batch: b, Stage: key.Stage, Partition: key.Partition})
 		}
 		if len(ids) > 0 {
@@ -1082,12 +1162,4 @@ func weightsDiffer(p core.Placement, proposed map[rpc.NodeID]float64) bool {
 		}
 	}
 	return false
-}
-
-func pruneHolders(holders map[core.Dep]rpc.NodeID, before core.BatchID) {
-	for dep := range holders {
-		if dep.Batch < before {
-			delete(holders, dep)
-		}
-	}
 }

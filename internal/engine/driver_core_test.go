@@ -4,9 +4,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"runtime"
 	"testing"
 	"time"
 
+	"drizzle/internal/metrics"
 	"drizzle/internal/rpc"
 )
 
@@ -128,5 +130,77 @@ func TestBSPHandlesWorkerDeathDuringBatchCloseWait(t *testing.T) {
 	}
 	if rs.remaining != 0 {
 		t.Errorf("remaining %d after the batch's stage barriers", rs.remaining)
+	}
+}
+
+// TestBSPStageKnownLocations: BSP plans each stage after the previous
+// stage's barrier and stamps the dependency locations the barrier
+// collected, read from the same lineage describe reads. A BSP plan never
+// turns on worker-to-worker notification.
+func TestBSPStageKnownLocations(t *testing.T) {
+	g := newGoldenRun(t, "bsp known locations", ModeBSP, goldenWorkers, nil)
+	f, rs := g.f, g.rs
+	g.ackLaunches()
+	if _, _, err := g.d.runBatchBSP(rs, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	reduces := 0
+	for _, w := range goldenWorkers {
+		descs, _ := f.net.launchesTo(w)
+		for _, desc := range descs {
+			if desc.NotifyDownstream {
+				t.Fatalf("BSP task %v pre-schedules notifications", desc.ID)
+			}
+			if desc.ID.Stage != 1 {
+				continue
+			}
+			reduces++
+			if len(desc.KnownLocations) != 4 {
+				t.Fatalf("reduce %v has %d known locations, want 4", desc.ID, len(desc.KnownLocations))
+			}
+			for _, l := range desc.KnownLocations {
+				if want := rs.placement.Assign(0, l.Dep.MapPartition); l.Node != want {
+					t.Errorf("reduce %v reads map %d from %s, which ran on %s", desc.ID, l.Dep.MapPartition, l.Node, want)
+				}
+			}
+		}
+	}
+	if reduces != 2 {
+		t.Fatalf("planned %d reduce tasks, want 2", reduces)
+	}
+}
+
+// TestDriverBookkeepingIsBounded: over 10,000 batches of sched-tiny's shape
+// with every checkpoint durable, the task table never holds more than two
+// groups, and the driver's heap after 10,000 batches is within 1 MiB of its
+// heap after 1,000. Bookkeeping that gains an entry per task (240,000 of
+// them here) fails the second check. The driver's task-time histograms keep
+// every sample by design (metrics.Histogram), so each group starts them
+// afresh: the heap check measures the bookkeeping, not the samples.
+func TestDriverBookkeepingIsBounded(t *testing.T) {
+	const groups = 1000
+	l := newGroupLoop(t, groups)
+	heapAt := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var early uint64
+	for g := 0; g < groups; g++ {
+		l.rs.stats.TaskRun, l.rs.stats.TaskQueue = metrics.NewHistogram(), metrics.NewHistogram()
+		l.d.m.taskRunMs, l.d.m.taskQueueMs = metrics.NewHistogram(), metrics.NewHistogram()
+		l.group(t)
+		if live := len(l.rs.rows); live > 2*tinyGroup*l.rs.perBatch {
+			t.Fatalf("after group %d: %d live rows, more than two groups of %d", g, live, tinyGroup*l.rs.perBatch)
+		}
+		if g == groups/10-1 {
+			early = heapAt()
+		}
+	}
+	late := heapAt()
+	runtime.KeepAlive(l) // the driver under measurement stays reachable
+	if late > early+1<<20 {
+		t.Errorf("heap grew from %d B at %d batches to %d B at %d", early, groups/10*tinyGroup, late, groups*tinyGroup)
 	}
 }

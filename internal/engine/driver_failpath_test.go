@@ -84,7 +84,7 @@ type failpathFixture struct {
 
 // newFailpathFixture builds the fixture over job; a nil job is the
 // two-stage window count.
-func newFailpathFixture(t *testing.T, mode Mode, workers []rpc.NodeID, job *dag.Job) *failpathFixture {
+func newFailpathFixture(t testing.TB, mode Mode, workers []rpc.NodeID, job *dag.Job) *failpathFixture {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Mode = mode
@@ -112,6 +112,20 @@ func dep(b core.BatchID, m int) core.Dep {
 	return core.Dep{Job: "fp", Batch: b, Stage: 0, MapPartition: m}
 }
 
+// setOutstanding makes a task outstanding on w, as register does.
+func setOutstanding(rs *runState, id core.TaskID, w rpc.NodeID) {
+	r := rs.row(id)
+	if r.state != taskOutstanding {
+		rs.remaining++
+	}
+	r.state, r.worker = taskOutstanding, w
+}
+
+// setHolder records who holds a map output.
+func setHolder(rs *runState, d core.Dep, h rpc.NodeID) {
+	rs.row(core.TaskID{Batch: d.Batch, Stage: d.Stage, Partition: d.MapPartition}).holder = h
+}
+
 // TestResubmitRebuildsDescriptors checks that resubmit reconstructs task
 // descriptors from current lineage and placement: locations held by evicted
 // workers are omitted, shuffle tasks are marked for DataReady relay, the
@@ -123,10 +137,10 @@ func TestResubmitRebuildsDescriptors(t *testing.T) {
 
 	// Lineage: three live holders and one entry pointing at a worker that
 	// is no longer in the placement (died earlier).
-	rs.mapHolders[dep(2, 0)] = "w0"
-	rs.mapHolders[dep(2, 1)] = "wDEAD"
-	rs.mapHolders[dep(2, 2)] = "w1"
-	rs.mapHolders[dep(2, 3)] = "w2"
+	setHolder(rs, dep(2, 0), "w0")
+	setHolder(rs, dep(2, 1), "wDEAD")
+	setHolder(rs, dep(2, 2), "w1")
+	setHolder(rs, dep(2, 3), "w2")
 
 	// The reduce partition 1 was moved by recovery; its snapshot covers
 	// batch 1, so any resubmitted task must refuse to fold into state
@@ -136,7 +150,7 @@ func TestResubmitRebuildsDescriptors(t *testing.T) {
 
 	mapID := core.TaskID{Batch: 2, Stage: 0, Partition: 1}
 	redID := core.TaskID{Batch: 2, Stage: 1, Partition: 1}
-	rs.completed[redID] = true // re-execution of a completed task resets it
+	rs.row(redID).state = taskDone // re-execution of a completed task resets it
 	d.resubmit(rs, []core.TaskID{mapID, redID}, time.Now())
 
 	mapW := rs.placement.Assign(0, 1)
@@ -163,7 +177,7 @@ func TestResubmitRebuildsDescriptors(t *testing.T) {
 	if !mapDesc.NotifyDownstream {
 		t.Error("Drizzle-mode resubmit must keep worker-to-worker notification on")
 	}
-	if !rs.relay[mapID] {
+	if !rs.at(mapID).relay {
 		t.Error("resubmitted shuffle task not marked for driver DataReady relay")
 	}
 	if got, ok := redDesc.Location(dep(2, 1)); ok {
@@ -177,11 +191,10 @@ func TestResubmitRebuildsDescriptors(t *testing.T) {
 	if redDesc.MinState != 2 {
 		t.Errorf("MinState = %d, want 2 (restore floor batch 1 + 1)", redDesc.MinState)
 	}
-	if rs.completed[redID] {
-		t.Error("re-executed task still marked completed")
-	}
-	if rs.outstanding[mapID] != mapW || rs.outstanding[redID] != redW {
-		t.Errorf("outstanding not updated: %v", rs.outstanding)
+	for id, w := range map[core.TaskID]rpc.NodeID{mapID: mapW, redID: redW} {
+		if r := rs.at(id); r.state != taskOutstanding || r.worker != w {
+			t.Errorf("task %v: %+v, want outstanding on %s", id, *r, w)
+		}
 	}
 	if rs.remaining != 2 {
 		t.Errorf("remaining = %d, want 2", rs.remaining)
@@ -242,7 +255,7 @@ func TestPurgeWatermarkRequiresStoredSnapshots(t *testing.T) {
 
 	// An incomplete task pins its batch even below the checkpoint line
 	// (recovery may be replaying it from lineage right now).
-	rs.outstanding[core.TaskID{Batch: 1, Stage: 1, Partition: 1}] = "w0"
+	setOutstanding(rs, core.TaskID{Batch: 1, Stage: 1, Partition: 1}, "w0")
 	if wm := d.purgeWatermark(rs); wm != 1 {
 		t.Fatalf("watermark %d, want 1 (outstanding replay at batch 1)", wm)
 	}
@@ -262,8 +275,7 @@ func TestResendIncompleteResendsEverything(t *testing.T) {
 		{Batch: 2, Stage: 1, Partition: 0},
 	}
 	for _, id := range ids {
-		rs.outstanding[id] = rs.placement.Assign(id.Stage, id.Partition)
-		rs.remaining++
+		setOutstanding(rs, id, rs.placement.Assign(id.Stage, id.Partition))
 	}
 	d.resendIncomplete(rs, time.Now())
 
@@ -325,16 +337,15 @@ func TestOnWorkerFailureResubmitsLostWork(t *testing.T) {
 	deadMap := -1
 	for m := 0; m < 4; m++ {
 		h := rs.placement.Assign(0, m)
-		rs.mapHolders[dep(2, m)] = h
-		rs.completed[core.TaskID{Batch: 2, Stage: 0, Partition: m}] = true
+		setHolder(rs, dep(2, m), h)
+		rs.row(core.TaskID{Batch: 2, Stage: 0, Partition: m}).state = taskDone
 		if h == "w2" {
 			deadMap = m
 		}
 	}
 	// The reduce for the dead partition is outstanding on w2.
 	redID := core.TaskID{Batch: 2, Stage: 1, Partition: deadPart}
-	rs.outstanding[redID] = "w2"
-	rs.remaining = 1
+	setOutstanding(rs, redID, "w2")
 
 	d.onWorkerFailure(rs, "w2", time.Now())
 
@@ -578,16 +589,15 @@ func TestFailedAttemptIsChargedOnce(t *testing.T) {
 	f := newFailpathFixture(t, ModeDrizzle, []rpc.NodeID{"w0", "w1"}, nil)
 	rs, d := f.rs, f.driver
 	id := core.TaskID{Batch: 2, Stage: 1, Partition: 0}
-	rs.outstanding[id] = rs.placement.Assign(1, 0)
-	rs.remaining = 1
-	st := core.TaskStatus{ID: id, Worker: rs.outstanding[id], Err: "fetch failed"}
+	setOutstanding(rs, id, rs.placement.Assign(1, 0))
+	st := core.TaskStatus{ID: id, Worker: rs.at(id).worker, Err: "fetch failed"}
 	for i := 0; i < 3; i++ {
 		if err := d.onStatus(rs, st, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if rs.attempts[id] != 1 || len(rs.retryQ) != 1 {
+	if rs.at(id).attempts != 1 || len(rs.retryQ) != 1 {
 		t.Fatalf("three copies of one failure charged %d attempts and queued %d retries, want 1 and 1",
-			rs.attempts[id], len(rs.retryQ))
+			rs.at(id).attempts, len(rs.retryQ))
 	}
 }

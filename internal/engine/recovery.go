@@ -7,7 +7,6 @@ package engine
 // them. TestDriverCoreHasNoClock keeps it that way.
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -29,14 +28,17 @@ type retryEntry struct {
 func (rs *runState) register(byWorker map[rpc.NodeID][]core.TaskDescriptor, now time.Time) {
 	for w, descs := range byWorker {
 		for _, desc := range descs {
-			if !rs.completed[desc.ID] {
-				if _, dup := rs.outstanding[desc.ID]; !dup {
-					rs.remaining++
-				}
-				rs.outstanding[desc.ID] = w
-				if _, ok := rs.launched[desc.ID]; !ok {
-					rs.launched[desc.ID] = now
-				}
+			r := rs.row(desc.ID)
+			if r.state == taskDone {
+				continue
+			}
+			if r.state == taskPlanned {
+				r.state = taskOutstanding
+				rs.remaining++
+			}
+			r.worker = w
+			if r.launched.IsZero() {
+				r.launched = now
 			}
 		}
 	}
@@ -68,9 +70,10 @@ func (d *Driver) purgeWatermark(rs *runState) core.BatchID {
 			wm = covered
 		}
 	}
-	for id := range rs.outstanding {
-		if id.Batch < wm {
-			wm = id.Batch
+	// Rows are in batch order: the first outstanding one is the oldest.
+	for i := range rs.rows {
+		if rs.rows[i].state == taskOutstanding {
+			return min(wm, rs.base+core.BatchID(i/rs.perBatch))
 		}
 	}
 	return wm
@@ -105,14 +108,14 @@ func (d *Driver) resendRestores(rs *runState) {
 // stampFloors sets the MinState floor on planned descriptors of windowed
 // terminal partitions that recovery has moved, so tasks planned in later
 // groups can never apply to a partition whose restore has not landed yet.
-func (d *Driver) stampFloors(rs *runState, byWorker map[rpc.NodeID][]core.TaskDescriptor) {
-	if len(rs.restores) == 0 {
-		return
-	}
+// With locations (BSP's stage plans) it also stamps every dependency
+// location the stage barrier collected.
+func (d *Driver) stampFloors(rs *runState, byWorker map[rpc.NodeID][]core.TaskDescriptor, locations bool) {
 	for _, descs := range byWorker {
 		for i := range descs {
-			if floor := rs.minState(descs[i].ID); floor > 0 {
-				descs[i].MinState = floor
+			descs[i].MinState = rs.minState(descs[i].ID)
+			if locations {
+				descs[i].KnownLocations = rs.knownLocations(descs[i].Deps)
 			}
 		}
 	}
@@ -174,7 +177,7 @@ func (d *Driver) fireRetries(rs *runState, now time.Time) {
 			rest = append(rest, e)
 			continue
 		}
-		if _, waiting := rs.outstanding[e.id]; waiting && !rs.completed[e.id] {
+		if r := rs.at(e.id); r != nil && r.state == taskOutstanding {
 			due = append(due, e.id)
 		}
 	}
@@ -197,40 +200,41 @@ func (d *Driver) fireRetries(rs *runState, now time.Time) {
 // from before a driver restart). Re-running the producers refreshes every
 // location table with a live holder.
 func (d *Driver) repairLineage(rs *runState, ids []core.TaskID) []core.TaskID {
-	inSet := make(map[core.TaskID]bool, len(ids))
+	in := make([]bool, len(rs.rows))
 	for _, id := range ids {
-		inSet[id] = true
+		in[rs.index(id)] = true
 	}
-	lost := rs.lostProducers(ids, inSet, func(id core.TaskID) bool { return rs.attempts[id] >= 2 })
+	lost := rs.lostProducers(ids, in, true)
 	for _, p := range lost {
-		delete(rs.mapHolders, core.Dep{Job: rs.jobName, Batch: p.Batch, Stage: p.Stage, MapPartition: p.Partition})
+		rs.rows[rs.index(p)].holder = ""
 	}
 	return append(ids, lost...)
 }
 
 // lostProducers is the one lineage walk of recovery (§3.3): a completed
-// producer must re-run when a task in inSet reads its output and that output
-// has no live holder, and the producers it adds are walked in turn. A task
-// for which distrust (may be nil) returns true treats every recorded holder
-// of its inputs as lost. Producers never completed are left to the launch
-// path. The walk starts from seeds, marks what it adds in inSet, and returns
-// the added producers.
-func (rs *runState) lostProducers(seeds []core.TaskID, inSet map[core.TaskID]bool, distrust func(core.TaskID) bool) []core.TaskID {
+// producer must re-run when a task marked in (by row) reads its output and
+// that output has no live holder, and the producers it adds are walked in
+// turn. With distrustRetried, a task on its third or later attempt treats
+// every recorded holder of its inputs as lost. Producers never completed are
+// left to the launch path. The walk starts from seeds, marks what it adds in
+// in, and returns the added producers.
+func (rs *runState) lostProducers(seeds []core.TaskID, in []bool, distrustRetried bool) []core.TaskID {
 	var lost []core.TaskID
 	frontier := append([]core.TaskID(nil), seeds...)
 	for len(frontier) > 0 {
 		id := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
-		all := distrust != nil && distrust(id)
+		all := distrustRetried && rs.rows[rs.index(id)].attempts >= 2
 		for _, dep := range rs.planner.DepsOf(id.Batch, id.Stage, id.Partition) {
-			if h, ok := rs.mapHolders[dep]; ok && rs.placement.Contains(h) && !all {
+			producer := core.TaskID{Batch: dep.Batch, Stage: dep.Stage, Partition: dep.MapPartition}
+			i := rs.index(producer)
+			if rs.placement.Contains(rs.rows[i].holder) && !all {
 				continue // surviving output, reusable via lineage
 			}
-			producer := core.TaskID{Batch: dep.Batch, Stage: dep.Stage, Partition: dep.MapPartition}
-			if inSet[producer] || !rs.completed[producer] {
+			if in[i] || rs.rows[i].state != taskDone {
 				continue // being re-run anyway, or the launch path owns it
 			}
-			inSet[producer] = true
+			in[i] = true
 			lost = append(lost, producer)
 			frontier = append(frontier, producer)
 		}
@@ -243,13 +247,13 @@ func (rs *runState) lostProducers(seeds []core.TaskID, inSet map[core.TaskID]boo
 // (first-result-wins) and the losing attempt is killed. The state store's
 // batch dedup makes a loser that completes anyway harmless.
 func (d *Driver) onStatus(rs *runState, st core.TaskStatus, now time.Time) error {
-	if rs.completed[st.ID] {
-		return nil // duplicate (resend, re-execution, or speculation loser)
+	r := rs.at(st.ID)
+	if r == nil || r.state != taskOutstanding {
+		// A duplicate (resend, re-execution or speculation loser), or a
+		// stale report from a previous group or from below the table.
+		return nil
 	}
-	primary, known := rs.outstanding[st.ID]
-	if !known {
-		return nil // stale report from a previous group
-	}
+	primary := r.worker
 	if !rs.placement.Contains(st.Worker) {
 		// The report raced a membership change: the worker was declared dead
 		// with this status in flight. Its outputs are unfetchable now, so
@@ -259,7 +263,8 @@ func (d *Driver) onStatus(rs *runState, st core.TaskStatus, now time.Time) error
 		// the task; this report is simply void.
 		return nil
 	}
-	sa, hasSpec := rs.spec[st.ID]
+	sa := r.spec
+	hasSpec := sa.worker != ""
 	fromSpec := hasSpec && st.Worker == sa.worker && st.Attempt == sa.attempt
 	if !st.OK {
 		// A missing-precondition failure means a control message was lost,
@@ -279,7 +284,7 @@ func (d *Driver) onStatus(rs *runState, st core.TaskStatus, now time.Time) error
 		if fromSpec {
 			// The speculative copy failed; the original is still running
 			// and keeps its attempt budget. The copy is simply written off.
-			delete(rs.spec, st.ID)
+			r.spec = specAttempt{}
 			rs.stats.SpeculationWasted++
 			d.m.specWasted.Inc()
 			if !st.NeedsJob && !st.NeedsState {
@@ -292,9 +297,9 @@ func (d *Driver) onStatus(rs *runState, st core.TaskStatus, now time.Time) error
 		}
 		if !st.NeedsJob && !st.NeedsState {
 			d.health.ObserveFailure(st.Worker)
-			rs.attempts[st.ID]++
-			if rs.attempts[st.ID] >= d.cfg.MaxTaskAttempts {
-				return fmt.Errorf("engine: task %v failed %d times, last: %s", st.ID, rs.attempts[st.ID], st.Err)
+			r.attempts++
+			if r.attempts >= d.cfg.MaxTaskAttempts {
+				return fmt.Errorf("engine: task %v failed %d times, last: %s", st.ID, r.attempts, st.Err)
 			}
 		}
 		rs.stats.Resubmits++
@@ -313,9 +318,7 @@ func (d *Driver) onStatus(rs *runState, st core.TaskStatus, now time.Time) error
 		cspan.SetNode(string(d.id))
 		cspan.SetTask(int64(st.ID.Batch), st.ID.Stage, st.ID.Partition, st.Attempt)
 	}
-	rs.completed[st.ID] = true
-	delete(rs.outstanding, st.ID)
-	delete(rs.launched, st.ID)
+	r.state, r.worker, r.launched = taskDone, "", time.Time{}
 	rs.remaining--
 	rs.stats.TaskRun.ObserveMillis(float64(st.RunNanos) / 1e6)
 	rs.stats.TaskQueue.ObserveMillis(float64(st.QueueNanos) / 1e6)
@@ -323,11 +326,14 @@ func (d *Driver) onStatus(rs *runState, st core.TaskStatus, now time.Time) error
 	d.m.taskRunMs.ObserveMillis(float64(st.RunNanos) / 1e6)
 	d.m.taskQueueMs.ObserveMillis(float64(st.QueueNanos) / 1e6)
 	rs.recordDuration(float64(st.RunNanos) / 1e6)
-	rs.notePeerDone(st.ID, now)
+	ps := rs.peer(st.ID)
+	if ps.done++; ps.done == 1 {
+		ps.first = now // the first of its (batch, stage) to commit
+	}
 	d.health.ObserveSuccess(st.Worker, time.Duration(st.RunNanos))
 
 	if hasSpec {
-		delete(rs.spec, st.ID)
+		r.spec = specAttempt{}
 		if fromSpec {
 			rs.stats.SpeculationWon++
 			d.m.specWon.Inc()
@@ -341,11 +347,10 @@ func (d *Driver) onStatus(rs *runState, st core.TaskStatus, now time.Time) error
 
 	stage := &rs.planner.Job.Stages[st.ID.Stage]
 	if stage.Shuffle != nil {
-		dep := core.Dep{Job: rs.jobName, Batch: st.ID.Batch, Stage: st.ID.Stage, MapPartition: st.ID.Partition}
-		rs.mapHolders[dep] = st.Worker
-		if rs.relay[st.ID] {
-			delete(rs.relay, st.ID)
-			d.relayDataReady(rs, dep, st.Worker)
+		r.holder = st.Worker
+		if r.relay {
+			r.relay = false
+			d.relayDataReady(rs, core.Dep{Job: rs.jobName, Batch: st.ID.Batch, Stage: st.ID.Stage, MapPartition: st.ID.Partition}, st.Worker)
 		}
 	}
 	cspan.End()
@@ -383,15 +388,7 @@ func (d *Driver) describe(rs *runState, id core.TaskID, attempt int) core.TaskDe
 	if rs.planner.Job.Stages[id.Stage].IsSource() {
 		desc.NotBefore = rs.planner.BatchCloseNanos(id.Batch)
 	}
-	if len(desc.Deps) > 0 {
-		known := make([]core.DepLocation, 0, len(desc.Deps))
-		for _, dep := range desc.Deps {
-			if h, ok := rs.mapHolders[dep]; ok && rs.placement.Contains(h) {
-				known = append(known, core.DepLocation{Dep: dep, Node: h})
-			}
-		}
-		desc.KnownLocations = known
-	}
+	desc.KnownLocations = rs.knownLocations(desc.Deps)
 	return desc
 }
 
@@ -402,16 +399,15 @@ func (d *Driver) resubmit(rs *runState, ids []core.TaskID, now time.Time) {
 	for _, id := range ids {
 		w := rs.placement.Assign(id.Stage, id.Partition)
 		byWorker[w] = append(byWorker[w], d.describe(rs, id, 0))
-		if _, dup := rs.outstanding[id]; !dup || rs.completed[id] {
+		r := rs.row(id)
+		if r.state != taskOutstanding {
 			rs.remaining++
 		}
-		delete(rs.completed, id)
-		rs.outstanding[id] = w
 		// Restart the straggler clock: a freshly resubmitted task must not
 		// be flagged for time its failed predecessor burned.
-		rs.launched[id] = now
+		r.state, r.worker, r.launched = taskOutstanding, w, now
 		if rs.planner.Job.Stages[id.Stage].Shuffle != nil {
-			rs.relay[id] = true
+			r.relay = true
 		}
 	}
 	d.chargeCosts(len(ids), 0, len(byWorker))
@@ -431,15 +427,17 @@ func (d *Driver) resendIncomplete(rs *runState, now time.Time) {
 	d.resendRestores(rs)
 	d.broadcast(d.membershipUpdate(rs.placement))
 	ids := make([]core.TaskID, 0, rs.remaining)
-	inSet := make(map[core.TaskID]bool, rs.remaining)
-	for id := range rs.outstanding {
-		ids = append(ids, id)
-		inSet[id] = true
+	in := make([]bool, len(rs.rows))
+	for i := range rs.rows {
+		if rs.rows[i].state == taskOutstanding {
+			ids = append(ids, rs.taskAt(i))
+			in[i] = true
+		}
 	}
 	// A stalled task can be waiting on a dependency whose committed holder
 	// has since died — resending the descriptor alone would omit that
 	// location forever — so the lost producers re-run with it.
-	ids = append(ids, rs.lostProducers(ids, inSet, nil)...)
+	ids = append(ids, rs.lostProducers(ids, in, false)...)
 	d.m.stalls.Inc()
 	d.log.Warn("stall detected, re-sending incomplete tasks", "count", len(ids), "tasks", fmt.Sprintf("%v", ids))
 	d.resubmit(rs, ids, now)
@@ -494,64 +492,62 @@ func (d *Driver) onWorkerFailure(rs *runState, dead rpc.NodeID, now time.Time) {
 	rs.placement = newP
 	d.broadcast(d.membershipUpdate(newP))
 
-	// In-flight shuffle producers on surviving workers push their DataReady
-	// notifications using the placement they captured at task start — under
-	// the old epoch some of those point at the dead worker and vanish, and
-	// a consumer partition that moved to a new owner then waits the full
-	// stall interval for a location it should have learned at commit time.
-	// Mark every outstanding producer for a driver-side relay so the commit
-	// re-announces the holder under the new placement.
-	for id := range rs.outstanding {
-		if rs.planner.Job.Stages[id.Stage].Shuffle != nil {
-			rs.relay[id] = true
+	// The walks below see every task of the group, launched or not.
+	groupEnd := rs.groupFirst + core.BatchID(rs.groupSize)
+	rs.grow(groupEnd - 1)
+	resubmit := make([]bool, len(rs.rows)) // by row
+	for i := range rs.rows {
+		r := &rs.rows[i]
+		// In-flight shuffle producers on surviving workers push their
+		// DataReady notifications using the placement they captured at task
+		// start — under the old epoch some of those point at the dead worker
+		// and vanish, and a consumer partition that moved to a new owner then
+		// waits the full stall interval for a location it should have learned
+		// at commit time. Mark every outstanding producer for a driver-side
+		// relay so the commit re-announces the holder under the new placement.
+		if r.state == taskOutstanding && rs.planner.Job.Stages[rs.taskAt(i).Stage].Shuffle != nil {
+			r.relay = true
 		}
-	}
-
-	if newP.NumWorkers() == 0 {
-		return // waitTasks will stall; nothing can run
-	}
-
-	// Speculative copies hosted by the dead worker are written off.
-	for id, sa := range rs.spec {
-		if sa.worker == dead {
-			delete(rs.spec, id)
+		if newP.NumWorkers() == 0 {
+			continue // waitTasks will stall; nothing can run
+		}
+		// Speculative copies hosted by the dead worker are written off.
+		if r.spec.worker == dead {
+			r.spec = specAttempt{}
 			rs.stats.SpeculationWasted++
 			d.m.specWasted.Inc()
 		}
-	}
-
-	resubmitSet := make(map[core.TaskID]bool)
-
-	// (a) Incomplete tasks that were assigned to the dead worker. A task
-	// whose speculative copy is still alive needs no resubmission: the copy
-	// is promoted to primary (it counts as a speculation win — the
-	// redundant launch is what kept the task alive).
-	for id, w := range rs.outstanding {
-		if w != dead {
+		// (a) Incomplete tasks that were assigned to the dead worker. A
+		// task whose speculative copy is still alive needs no resubmission:
+		// the copy is promoted to primary (it counts as a speculation win —
+		// the redundant launch is what kept the task alive).
+		if r.state != taskOutstanding || r.worker != dead {
 			continue
 		}
-		if sa, ok := rs.spec[id]; ok {
-			rs.outstanding[id] = sa.worker
-			rs.launched[id] = now
-			delete(rs.spec, id)
+		if r.spec.worker != "" {
+			r.worker, r.launched, r.spec = r.spec.worker, now, specAttempt{}
 			rs.stats.SpeculationWon++
 			d.m.specWon.Inc()
 			continue
 		}
-		resubmitSet[id] = true
+		resubmit[i] = true
+	}
+	if newP.NumWorkers() == 0 {
+		return
 	}
 
 	// (c) Terminal partitions owned by the dead worker: restore their
 	// state on the new owner and replay every batch since the snapshot.
-	groupEnd := rs.groupFirst + core.BatchID(rs.groupSize)
+	// The snapshot is never older than the table's base, which the purge
+	// watermark held at or below every durable snapshot.
 	for _, key := range rs.stateKeys {
 		if oldP.Assign(key.Stage, key.Partition) != dead {
 			continue
 		}
 		restoredBatch := d.sendRestore(rs, key)
 		rs.restores[key] = restoredBatch
-		for b := max(restoredBatch+1, 0); b < groupEnd; b++ {
-			resubmitSet[core.TaskID{Batch: b, Stage: key.Stage, Partition: key.Partition}] = true
+		for b := max(restoredBatch+1, rs.base); b < groupEnd; b++ {
+			resubmit[rs.index(core.TaskID{Batch: b, Stage: key.Stage, Partition: key.Partition})] = true
 		}
 	}
 
@@ -562,47 +558,34 @@ func (d *Driver) onWorkerFailure(rs *runState, dead rpc.NodeID, now time.Time) {
 	// the next stage's plan demands it, with no launched consumer to
 	// witness the loss. A producer still in flight is never completed, so
 	// the walk leaves it to its running attempt.
-	for dep, h := range rs.mapHolders {
-		if h == dead {
-			delete(rs.mapHolders, dep)
+	in := make([]bool, len(rs.rows))
+	var seeds []core.TaskID
+	for i := range rs.rows {
+		r := &rs.rows[i]
+		if r.holder == dead {
+			r.holder = ""
+		}
+		id := rs.taskAt(i)
+		if resubmit[i] || r.state == taskOutstanding || (id.Batch >= rs.groupFirst && id.Batch < groupEnd && r.state != taskDone) {
+			in[i] = true
+			seeds = append(seeds, id)
 		}
 	}
-	inSet := make(map[core.TaskID]bool, len(resubmitSet)+len(rs.outstanding))
-	for id := range resubmitSet {
-		inSet[id] = true
-	}
-	for id := range rs.outstanding {
-		inSet[id] = true
-	}
-	for b := max(rs.groupFirst, 0); b < groupEnd; b++ {
-		for si := range rs.planner.Job.Stages {
-			for p := 0; p < rs.planner.Job.Stages[si].NumPartitions; p++ {
-				if id := (core.TaskID{Batch: b, Stage: si, Partition: p}); !rs.completed[id] {
-					inSet[id] = true
-				}
-			}
-		}
-	}
-	seeds := make([]core.TaskID, 0, len(inSet))
-	for id := range inSet {
-		seeds = append(seeds, id)
-	}
-	for _, id := range rs.lostProducers(seeds, inSet, nil) {
-		resubmitSet[id] = true
+	for _, id := range rs.lostProducers(seeds, in, false) {
+		resubmit[rs.index(id)] = true
 	}
 
-	if len(resubmitSet) == 0 {
+	// Task order aids debugging; execution order is up to the workers
+	// (parallel recovery across micro-batches).
+	var ids []core.TaskID
+	for i, on := range resubmit {
+		if on {
+			ids = append(ids, rs.taskAt(i))
+		}
+	}
+	if len(ids) == 0 {
 		return
 	}
-	ids := make([]core.TaskID, 0, len(resubmitSet))
-	for id := range resubmitSet {
-		ids = append(ids, id)
-	}
-	// Deterministic submission order aids debugging; execution order is
-	// up to the workers (parallel recovery across micro-batches).
-	slices.SortFunc(ids, func(a, b core.TaskID) int {
-		return cmp.Or(cmp.Compare(a.Batch, b.Batch), cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Partition, b.Partition))
-	})
 	rs.stats.Resubmits += len(ids)
 	d.m.resubmits.Add(int64(len(ids)))
 	d.resubmit(rs, ids, now)

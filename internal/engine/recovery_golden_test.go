@@ -62,7 +62,7 @@ func (g *goldenRun) ackLaunches() {
 func (g *goldenRun) complete(b core.BatchID, stage int, holder func(p int) rpc.NodeID) {
 	s := &g.rs.planner.Job.Stages[stage]
 	for p := 0; p < s.NumPartitions; p++ {
-		g.rs.completed[core.TaskID{Batch: b, Stage: stage, Partition: p}] = true
+		g.rs.row(core.TaskID{Batch: b, Stage: stage, Partition: p}).state = taskDone
 		if s.Shuffle == nil {
 			continue
 		}
@@ -70,14 +70,13 @@ func (g *goldenRun) complete(b core.BatchID, stage int, holder func(p int) rpc.N
 		if holder != nil {
 			h = holder(p)
 		}
-		g.rs.mapHolders[core.Dep{Job: g.rs.jobName, Batch: b, Stage: stage, MapPartition: p}] = h
+		setHolder(g.rs, core.Dep{Job: g.rs.jobName, Batch: b, Stage: stage, MapPartition: p}, h)
 	}
 }
 
 // launch makes one task outstanding on its owner.
 func (g *goldenRun) launch(id core.TaskID) {
-	g.rs.outstanding[id] = g.rs.placement.Assign(id.Stage, id.Partition)
-	g.rs.remaining++
+	setOutstanding(g.rs, id, g.rs.placement.Assign(id.Stage, id.Partition))
 }
 
 // snapshot stores a one-window, one-key snapshot (so its encoding does not
@@ -114,19 +113,20 @@ func (g *goldenRun) record(step string) {
 	}
 	rs := g.rs
 	var out, relay, restores, holders []string
-	for id, w := range rs.outstanding {
-		out = append(out, goldenTask(id)+"@"+string(w))
-	}
-	for id, on := range rs.relay {
-		if on {
+	for i := range rs.rows {
+		r, id := &rs.rows[i], rs.taskAt(i)
+		if r.state == taskOutstanding {
+			out = append(out, goldenTask(id)+"@"+string(r.worker))
+		}
+		if r.relay {
 			relay = append(relay, goldenTask(id))
+		}
+		if r.holder != "" {
+			holders = append(holders, goldenDep(core.Dep{Batch: id.Batch, Stage: id.Stage, MapPartition: id.Partition})+"@"+string(r.holder))
 		}
 	}
 	for k, b := range rs.restores {
 		restores = append(restores, fmt.Sprintf("s%dp%d=%d", k.Stage, k.Partition, b))
-	}
-	for dep, h := range rs.mapHolders {
-		holders = append(holders, goldenDep(dep)+"@"+string(h))
 	}
 	for _, l := range [][]string{out, relay, restores, holders} {
 		sort.Strings(l)
@@ -218,7 +218,7 @@ func goldenDrizzleFailure(t *testing.T) []string {
 		if id := (core.TaskID{Batch: 2, Stage: 1, Partition: p}); g.owner(1, p) == dead {
 			g.launch(id)
 		} else {
-			rs.completed[id] = true
+			rs.row(id).state = taskDone
 		}
 	}
 	var promoted core.TaskID
@@ -229,7 +229,7 @@ func goldenDrizzleFailure(t *testing.T) []string {
 			promoted = id
 			for _, w := range goldenWorkers {
 				if w != dead {
-					rs.spec[id] = specAttempt{worker: w, attempt: 1}
+					rs.row(id).spec = specAttempt{worker: w, attempt: 1}
 					break
 				}
 			}
@@ -245,12 +245,13 @@ func goldenDrizzleFailure(t *testing.T) []string {
 	// The re-run batch-1 map of partition 0 commits: its output is relayed
 	// to the consumers' owners under the new placement.
 	var rerun core.TaskID
-	for id := range rs.relay {
-		if _, out := rs.outstanding[id]; out && id.Batch == 1 && (rerun == core.TaskID{} || goldenLess(id, rerun)) {
+	for i := range rs.rows {
+		if r, id := &rs.rows[i], rs.taskAt(i); r.relay && r.state == taskOutstanding && id.Batch == 1 {
 			rerun = id
+			break
 		}
 	}
-	if err := g.d.onStatus(rs, core.TaskStatus{ID: rerun, Worker: rs.outstanding[rerun], OK: true}, time.Now()); err != nil {
+	if err := g.d.onStatus(rs, core.TaskStatus{ID: rerun, Worker: rs.at(rerun).worker, OK: true}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	g.record("onStatus(" + goldenTask(rerun) + " OK)")
@@ -319,7 +320,7 @@ func goldenRetry(t *testing.T) []string {
 		g.launch(id)
 		rs.retryQ = append(rs.retryQ, retryEntry{id: id, due: past})
 	}
-	rs.attempts[core.TaskID{Batch: 2, Stage: 1, Partition: 0}] = 2
+	rs.row(core.TaskID{Batch: 2, Stage: 1, Partition: 0}).attempts = 2
 	g.d.fireRetries(rs, time.Now())
 	g.record("fireRetries")
 	return g.lines
@@ -338,7 +339,7 @@ func goldenSpeculation(t *testing.T) []string {
 	})
 	for _, id := range []core.TaskID{{Batch: 3, Stage: 0, Partition: 1}, {Batch: 2, Stage: 1, Partition: 2}} {
 		g.launch(id)
-		primary := rs.outstanding[id]
+		primary := rs.at(id).worker
 		target := goldenWorkers[0]
 		if target == primary {
 			target = goldenWorkers[1]
@@ -360,7 +361,7 @@ func goldenNeedsState(t *testing.T) []string {
 	for p := 0; p < 2; p++ {
 		id := core.TaskID{Batch: 2, Stage: 1, Partition: p}
 		g.launch(id)
-		st := core.TaskStatus{ID: id, Worker: rs.outstanding[id], NeedsState: true, Err: "state behind"}
+		st := core.TaskStatus{ID: id, Worker: rs.at(id).worker, NeedsState: true, Err: "state behind"}
 		if err := g.d.onStatus(rs, st, time.Now()); err != nil {
 			t.Fatal(err)
 		}

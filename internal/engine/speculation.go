@@ -20,21 +20,12 @@ type specAttempt struct {
 }
 
 // peerStat is per-(batch, stage) completion progress for the straggler
-// detector's peer gate.
+// detector's peer gate: it only trusts a task's elapsed time once enough of
+// its batch peers finished, so a run that is merely behind schedule
+// (boundary congestion, recovery replay) does not flag every task at once.
 type peerStat struct {
 	first time.Time // when the first task of the (batch, stage) completed
 	done  int       // how many have completed
-}
-
-// notePeerDone folds one committed completion into the peer ledger.
-func (rs *runState) notePeerDone(id core.TaskID, at time.Time) {
-	key := [2]int64{int64(id.Batch), int64(id.Stage)}
-	ps := rs.peers[key]
-	if ps == nil {
-		rs.peers[key] = &peerStat{first: at, done: 1}
-		return
-	}
-	ps.done++
 }
 
 // recordDuration folds a completed task's duration into the detector's
@@ -64,7 +55,7 @@ func (rs *runState) medianDurMillis() float64 {
 // exceeds SpeculationMultiplier × the median completed-task duration (with
 // the SpeculationMinRuntime floor, so a tiny median never flags anything),
 // and a speculative copy is launched on the healthiest other worker —
-// bounded by SpeculationMaxConcurrent copies in flight.
+// bounded by SpeculationMaxConcurrent copies in flight, oldest task first.
 func (d *Driver) checkStragglers(rs *runState, now time.Time) {
 	if rs.durSeen < d.cfg.SpeculationMinCompleted {
 		return // median not trustworthy yet
@@ -77,13 +68,21 @@ func (d *Driver) checkStragglers(rs *runState, now time.Time) {
 	if len(live) < 2 {
 		return // nowhere else to run a copy
 	}
-	for id, w := range rs.outstanding {
-		if len(rs.spec) >= d.cfg.SpeculationMaxConcurrent {
+	inFlight := 0
+	for i := range rs.rows {
+		if rs.rows[i].spec.worker != "" {
+			inFlight++
+		}
+	}
+	for i := range rs.rows {
+		if inFlight >= d.cfg.SpeculationMaxConcurrent {
 			return
 		}
-		if _, already := rs.spec[id]; already {
+		r := &rs.rows[i]
+		if r.state != taskOutstanding || r.spec.worker != "" {
 			continue
 		}
+		id := rs.taskAt(i)
 		stage := &rs.planner.Job.Stages[id.Stage]
 		if stage.IsTerminal() && stage.Window != nil {
 			// Stateful tasks must run on their partition's owner — a copy
@@ -92,7 +91,7 @@ func (d *Driver) checkStragglers(rs *runState, now time.Time) {
 			// drops and the partition migrates at the next boundary.
 			continue
 		}
-		start := rs.launched[id]
+		start := r.launched
 		if start.IsZero() {
 			continue
 		}
@@ -112,35 +111,39 @@ func (d *Driver) checkStragglers(rs *runState, now time.Time) {
 		// is a threshold behind the first of them; a straggler is slow
 		// relative to its peers, not relative to the clock.
 		if stage.NumPartitions > 1 {
-			ps := rs.peers[[2]int64{int64(id.Batch), int64(id.Stage)}]
-			if ps == nil || 2*ps.done < stage.NumPartitions {
+			ps := rs.peer(id)
+			if 2*ps.done < stage.NumPartitions {
 				continue
 			}
 			if now.Sub(ps.first) < threshold {
 				continue
 			}
 		}
-		target := d.health.PickSpeculative(now, live, w)
-		if target == "" || target == w {
+		target := d.health.PickSpeculative(now, live, r.worker)
+		if target == "" || target == r.worker {
 			continue
 		}
-		d.launchSpeculative(rs, id, w, target)
+		if d.launchSpeculative(rs, id, r.worker, target) {
+			inFlight++
+		}
 	}
 }
 
 // launchSpeculative sends a redundant copy of a flagged task to target,
 // records it for first-result-wins commit, marks the original's worker as
-// hosting a straggler, and schedules a group shrink (§3.4).
-func (d *Driver) launchSpeculative(rs *runState, id core.TaskID, primary, target rpc.NodeID) {
-	rs.specSeq[id]++
-	attempt := rs.specSeq[id]
+// hosting a straggler, and schedules a group shrink (§3.4). It reports
+// whether the copy was sent.
+func (d *Driver) launchSpeculative(rs *runState, id core.TaskID, primary, target rpc.NodeID) bool {
+	r := rs.row(id)
+	r.specSeq++
+	attempt := r.specSeq
 	desc := d.describe(rs, id, attempt)
 	d.chargeCosts(1, 0, 1)
 	if err := d.net.Send(d.id, target, core.LaunchTasks{Tasks: []core.TaskDescriptor{desc}, PurgeBefore: d.purgeWatermark(rs)}); err != nil {
 		d.log.Warn("speculative launch send failed", "to", string(target), "err", err)
-		return
+		return false
 	}
-	rs.spec[id] = specAttempt{worker: target, attempt: attempt}
+	r.spec = specAttempt{worker: target, attempt: attempt}
 	rs.stats.SpeculationLaunched++
 	d.m.specLaunch.Inc()
 	d.health.ObserveStraggler(primary)
@@ -148,6 +151,7 @@ func (d *Driver) launchSpeculative(rs *runState, id core.TaskID, primary, target
 	d.log.Info("straggler detected, launching speculative copy",
 		"batch", int64(id.Batch), "stage", id.Stage, "part", id.Partition,
 		"on", string(primary), "attempt", attempt, "target", string(target))
+	return true
 }
 
 // killAttempt tells a worker to abandon a losing attempt: dequeue it if

@@ -194,8 +194,8 @@ func TestSpeculationCountersAgreeAfterWorkerDeath(t *testing.T) {
 	d.log = obs.Discard()
 	wasted := core.TaskID{Batch: 2, Stage: 0, Partition: 0}
 	promoted := core.TaskID{Batch: 2, Stage: 0, Partition: 1}
-	rs.outstanding[wasted], rs.outstanding[promoted] = "w0", "w1"
-	rs.remaining = 2
+	setOutstanding(rs, wasted, "w0")
+	setOutstanding(rs, promoted, "w1")
 	d.launchSpeculative(rs, wasted, "w0", "w1")
 	d.launchSpeculative(rs, promoted, "w1", "w2")
 	d.onWorkerFailure(rs, "w1", time.Now())
@@ -220,7 +220,7 @@ func TestSpeculationCountersAgreeAfterWorkerDeath(t *testing.T) {
 // Tasks are held back, in turn, by that floor, by their batch's close (a
 // pre-scheduled source task), by the peer gate and by their stage holding
 // state (never copied); SpeculationMaxConcurrent is 3. At no instant are
-// more tasks eligible than free slots, so map order never picks a copy.
+// more tasks eligible than free slots, so the scan order never picks a copy.
 func TestStragglerDetectorScriptedClock(t *testing.T) {
 	f := newFailpathFixture(t, ModeDrizzle, []rpc.NodeID{"w0", "w1", "w2"}, threeStageJob(nil))
 	rs, d := f.rs, f.driver
@@ -235,12 +235,12 @@ func TestStragglerDetectorScriptedClock(t *testing.T) {
 	closeOf := func(b core.BatchID) time.Time { return time.Unix(0, rs.planner.BatchCloseNanos(b)) }
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	run := func(id core.TaskID, launched time.Time) {
-		rs.outstanding[id] = rs.placement.Assign(id.Stage, id.Partition)
-		rs.remaining++
-		rs.launched[id] = launched
+		setOutstanding(rs, id, rs.placement.Assign(id.Stage, id.Partition))
+		rs.at(id).launched = launched
 	}
 	peers := func(b core.BatchID, stage, done int, first time.Time) {
-		rs.peers[[2]int64{int64(b), int64(stage)}] = &peerStat{first: first, done: done}
+		rs.grow(b)
+		*rs.peer(core.TaskID{Batch: b, Stage: stage}) = peerStat{first: first, done: done}
 	}
 	var (
 		interior = core.TaskID{Batch: 2, Stage: 1, Partition: 0} // held by the floor
@@ -274,8 +274,8 @@ func TestStragglerDetectorScriptedClock(t *testing.T) {
 		{"capped task's peers reach half with three copies in flight", closeOf(3).Add(ms(35)),
 			func() { peers(0, 0, 2, closeOf(0)) }, []core.TaskID{interior, source, gated}},
 		{"interior commits and frees a slot", closeOf(3).Add(ms(40)), func() {
-			delete(rs.spec, interior)
-			delete(rs.outstanding, interior)
+			r := rs.at(interior)
+			r.spec, r.state, r.worker = specAttempt{}, taskDone, ""
 			rs.remaining--
 		}, []core.TaskID{source, gated, capped}},
 	} {
@@ -283,12 +283,14 @@ func TestStragglerDetectorScriptedClock(t *testing.T) {
 			step.setup()
 		}
 		d.checkStragglers(rs, step.now)
-		got := make([]core.TaskID, 0, len(rs.spec))
-		for id, sa := range rs.spec {
-			if sa.worker == rs.outstanding[id] {
-				t.Errorf("%s: copy of %v placed on its original's worker %s", step.name, id, sa.worker)
+		var got []core.TaskID
+		for i := range rs.rows {
+			if r := &rs.rows[i]; r.spec.worker != "" {
+				if r.spec.worker == r.worker {
+					t.Errorf("%s: copy of %v placed on its original's worker %s", step.name, rs.taskAt(i), r.worker)
+				}
+				got = append(got, rs.taskAt(i))
 			}
-			got = append(got, id)
 		}
 		sort.Slice(got, func(i, j int) bool { return goldenLess(got[i], got[j]) })
 		want := append([]core.TaskID(nil), step.want...)
