@@ -201,9 +201,6 @@ func (sc Scenario) engineConfig() engine.Config {
 		if floor := 3 * sc.TaskCost; floor > cfg.SpeculationMinRuntime {
 			cfg.SpeculationMinRuntime = floor
 		}
-		cfg.SpeculationMinCompleted = 6
-		cfg.SpeculationInterval = 20 * time.Millisecond
-		cfg.SpeculationMaxConcurrent = 8
 	}
 	return cfg
 }

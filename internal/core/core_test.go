@@ -113,20 +113,14 @@ func TestPlannerBatchTimes(t *testing.T) {
 	if got := g.BatchCloseNanos(0); got != 1000+iv {
 		t.Fatalf("BatchCloseNanos(0) = %d", got)
 	}
-	if got := g.BatchForTime(1000 + iv + 1); got != 1 {
-		t.Fatalf("BatchForTime = %d, want 1", got)
-	}
-	if got := g.BatchForTime(0); got != 0 {
-		t.Fatalf("BatchForTime before start = %d, want 0", got)
-	}
 }
 
 func TestPlannerDeps(t *testing.T) {
 	g := &GroupPlanner{JobName: "t", Job: testJob()}
-	if deps := g.Deps(5, 0); deps != nil {
+	if deps := g.DepsOf(5, 0, 0); deps != nil {
 		t.Fatalf("source stage has deps: %v", deps)
 	}
-	deps := g.Deps(5, 1)
+	deps := g.DepsOf(5, 1, 0)
 	if len(deps) != 4 {
 		t.Fatalf("reduce task has %d deps, want 4", len(deps))
 	}

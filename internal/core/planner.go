@@ -22,26 +22,11 @@ func (g *GroupPlanner) BatchCloseNanos(b BatchID) int64 {
 	return g.StartNanos + int64(b+1)*int64(g.Job.Interval)
 }
 
-// BatchForTime returns the batch whose input interval contains the given
-// wall-clock time.
-func (g *GroupPlanner) BatchForTime(nanos int64) BatchID {
-	if nanos < g.StartNanos {
-		return 0
-	}
-	return BatchID((nanos - g.StartNanos) / int64(g.Job.Interval))
-}
-
-// Deps enumerates the upstream map outputs task (b, stage, partition)
-// waits for. For an all-to-all shuffle that is every parent partition; a
-// shuffle with a known communication structure (§3.6, treeReduce) narrows
-// it to the structure's fan-in, which is what lets pre-scheduled tasks
-// activate after just a handful of notifications.
-func (g *GroupPlanner) Deps(b BatchID, stage int) []Dep {
-	return g.DepsOf(b, stage, -1)
-}
-
-// DepsOf is Deps for a specific consumer partition; partition -1 returns
-// the union over all partitions (used for bookkeeping).
+// DepsOf enumerates the upstream map outputs consumer task (b, stage,
+// partition) waits for. For an all-to-all shuffle that is every parent
+// partition; a shuffle with a known communication structure (§3.6,
+// treeReduce) narrows it to the structure's fan-in, which is what lets
+// pre-scheduled tasks activate after just a handful of notifications.
 func (g *GroupPlanner) DepsOf(b BatchID, stage, partition int) []Dep {
 	s := &g.Job.Stages[stage]
 	if s.IsSource() {
@@ -51,7 +36,7 @@ func (g *GroupPlanner) DepsOf(b BatchID, stage, partition int) []Dep {
 	for _, parent := range s.Parents {
 		ps := &g.Job.Stages[parent]
 		lo, hi := 0, ps.NumPartitions
-		if st := ps.Shuffle.Structure; st != nil && partition >= 0 {
+		if st := ps.Shuffle.Structure; st != nil {
 			lo, hi = st.Producers(partition, ps.NumPartitions)
 		}
 		for m := lo; m < hi; m++ {

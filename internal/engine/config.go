@@ -131,15 +131,6 @@ type Config struct {
 	// sub-millisecond tasks never look like stragglers just because the
 	// median is tiny.
 	SpeculationMinRuntime time.Duration
-	// SpeculationMinCompleted is how many task completions must be
-	// observed before the detector trusts its median.
-	SpeculationMinCompleted int
-	// SpeculationMaxConcurrent caps in-flight speculative copies, bounding
-	// the redundant work a pathological cluster can trigger.
-	SpeculationMaxConcurrent int
-	// SpeculationInterval is how often the driver scans outstanding tasks
-	// for stragglers.
-	SpeculationInterval time.Duration
 
 	// Slowdown multiplies this worker's task service time (testing aid for
 	// the multi-process cluster: a real slow process, not an emulated one).
@@ -161,11 +152,6 @@ type Config struct {
 	// RegisterWorker so a recovered driver can dial it back. Empty on
 	// in-memory networks, where node IDs route directly.
 	AdvertiseAddr string
-
-	// TelemetryInterval is the driver's time-series history tick: how often
-	// the registry is snapshotted into the per-series ring behind
-	// /timeseriesz and the SLO watcher. 0 picks 5x HeartbeatInterval.
-	TelemetryInterval time.Duration
 
 	// Costs emulates driver-side scheduling costs.
 	Costs CostModel
@@ -227,20 +213,8 @@ func (c Config) withDefaults() Config {
 	if c.SpeculationMinRuntime <= 0 {
 		c.SpeculationMinRuntime = 30 * time.Millisecond
 	}
-	if c.SpeculationMinCompleted <= 0 {
-		c.SpeculationMinCompleted = 6
-	}
-	if c.SpeculationMaxConcurrent <= 0 {
-		c.SpeculationMaxConcurrent = 8
-	}
-	if c.SpeculationInterval <= 0 {
-		c.SpeculationInterval = 20 * time.Millisecond
-	}
 	if c.RecoverWait <= 0 {
 		c.RecoverWait = 2 * c.HeartbeatTimeout
-	}
-	if c.TelemetryInterval <= 0 {
-		c.TelemetryInterval = 5 * c.HeartbeatInterval
 	}
 	if c.Logger == nil {
 		c.Logger = obs.Default()
@@ -269,5 +243,10 @@ func (c Config) sloQueueDepthMax() int { return 2 * c.SlotsPerWorker }
 // backlog_growing is never raised.
 func (c Config) sloMinBacklog() int { return 2 * c.GroupSize }
 
+// telemetryInterval is the driver's time-series history tick: how often
+// the registry is snapshotted into the per-series ring behind /timeseriesz
+// and the SLO watcher.
+func (c Config) telemetryInterval() time.Duration { return 5 * c.HeartbeatInterval }
+
 // sloCooldown rate-limits repeated emission of the same SLO event kind.
-func (c Config) sloCooldown() time.Duration { return 10 * c.TelemetryInterval }
+func (c Config) sloCooldown() time.Duration { return 10 * c.telemetryInterval() }

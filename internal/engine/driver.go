@@ -59,7 +59,6 @@ type Driver struct {
 
 type workerState struct {
 	lastHeartbeat time.Time
-	alive         bool
 }
 
 // RunStats summarizes one Run for the experiment harness.
@@ -145,7 +144,7 @@ func NewDriver(id rpc.NodeID, net rpc.Network, reg *Registry, cfg Config, ckptSt
 		ckptStore = checkpoint.NewMemStore()
 	}
 	cfg = cfg.withDefaults()
-	history := metrics.NewHistory(cfg.Metrics, metrics.DefaultHistoryDepth)
+	history := metrics.NewHistory(cfg.Metrics)
 	return &Driver{
 		id:       id,
 		net:      net,
@@ -168,15 +167,6 @@ func NewDriver(id rpc.NodeID, net rpc.Network, reg *Registry, cfg Config, ckptSt
 
 // History exposes the driver's time-series ring (the /timeseriesz source).
 func (d *Driver) History() *metrics.History { return d.history }
-
-// SLOEvents returns the backlog/SLO watcher's recorded events, oldest
-// first — the Monitor-phase feed for scaling and scheduling policies.
-func (d *Driver) SLOEvents() []SLOEvent { return d.slo.Events() }
-
-// WorkerHealth returns the driver's current per-worker health snapshot.
-func (d *Driver) WorkerHealth() map[rpc.NodeID]WorkerHealthInfo {
-	return d.health.Snapshot(time.Now())
-}
 
 // ID returns the driver's node id.
 func (d *Driver) ID() rpc.NodeID { return d.id }
@@ -205,7 +195,7 @@ func (d *Driver) Start() error {
 	}
 	d.wg.Add(1)
 	go d.monitor()
-	d.history.Start(d.cfg.TelemetryInterval)
+	d.history.Start(d.cfg.telemetryInterval())
 	return nil
 }
 
@@ -233,7 +223,7 @@ func (d *Driver) AddWorkerAddr(id rpc.NodeID, addr string) {
 			a.Announce(id, addr)
 		}
 	}
-	if ws, ok := d.workers[id]; ok && ws.alive {
+	if _, ok := d.workers[id]; ok {
 		return
 	}
 	for _, p := range d.pendAdd {
@@ -278,20 +268,16 @@ func (d *Driver) LiveWorkers() []rpc.NodeID {
 // addresses for WAL membership records (callers hold d.mu).
 func (d *Driver) membershipTableLocked() map[rpc.NodeID]string {
 	out := make(map[rpc.NodeID]string, len(d.workers))
-	for id, ws := range d.workers {
-		if ws.alive {
-			out[id] = d.addrs[id]
-		}
+	for id := range d.workers {
+		out[id] = d.addrs[id]
 	}
 	return out
 }
 
 func (d *Driver) liveLocked() []rpc.NodeID {
 	var out []rpc.NodeID
-	for id, ws := range d.workers {
-		if ws.alive {
-			out = append(out, id)
-		}
+	for id := range d.workers {
+		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -302,7 +288,7 @@ func (d *Driver) handle(from rpc.NodeID, msg any) {
 	case core.Heartbeat:
 		now := time.Now()
 		d.mu.Lock()
-		if ws, ok := d.workers[m.Worker]; ok && ws.alive {
+		if ws, ok := d.workers[m.Worker]; ok {
 			ws.lastHeartbeat = now
 		}
 		d.mu.Unlock()
@@ -351,7 +337,7 @@ func (d *Driver) monitor() {
 			d.mu.Lock()
 			var dead []rpc.NodeID
 			for id, ws := range d.workers {
-				if ws.alive && !ws.lastHeartbeat.IsZero() && now.Sub(ws.lastHeartbeat) > d.cfg.HeartbeatTimeout {
+				if !ws.lastHeartbeat.IsZero() && now.Sub(ws.lastHeartbeat) > d.cfg.HeartbeatTimeout {
 					dead = append(dead, id)
 				}
 			}
@@ -392,7 +378,7 @@ func (d *Driver) admitPending(jobName string, startNanos int64) (core.Placement,
 	removed := d.pendRm
 	d.pendAdd, d.pendRm = nil, nil
 	for _, id := range added {
-		d.workers[id] = &workerState{alive: true, lastHeartbeat: time.Now()}
+		d.workers[id] = &workerState{lastHeartbeat: time.Now()}
 	}
 	for _, id := range removed {
 		delete(d.workers, id)
@@ -1006,7 +992,7 @@ func (d *Driver) waitTasks(rs *runState, notBefore time.Time) error {
 	now := time.Now()
 	rs.notBefore, rs.stallAt = notBefore, now.Add(rs.stallEvery)
 	if d.cfg.Speculation {
-		rs.specAt = now.Add(d.cfg.SpeculationInterval)
+		rs.specAt = now.Add(specInterval)
 	}
 	timer := time.NewTimer(time.Until(rs.nextWake()))
 	defer timer.Stop()

@@ -34,7 +34,7 @@ func newGroupLoop(tb testing.TB, groups int) *groupLoop {
 	d.log = obs.Discard()
 	workers := []rpc.NodeID{"w0", "w1"}
 	for _, w := range workers {
-		d.workers[w] = &workerState{alive: true, lastHeartbeat: time.Now()}
+		d.workers[w] = &workerState{lastHeartbeat: time.Now()}
 	}
 	d.epoch = 1
 	d.placement = core.NewPlacement(1, workers)

@@ -92,7 +92,7 @@ func newFailpathFixture(t testing.TB, mode Mode, workers []rpc.NodeID, job *dag.
 	reg := NewRegistry()
 	d := NewDriver("driver", net, reg, cfg, nil)
 	for _, w := range workers {
-		d.workers[w] = &workerState{alive: true, lastHeartbeat: time.Now()}
+		d.workers[w] = &workerState{lastHeartbeat: time.Now()}
 	}
 	d.epoch = 1
 	p := core.NewPlacement(1, workers)

@@ -162,7 +162,7 @@ func (d *Driver) onTimer(rs *runState, now time.Time) {
 	}
 	if !rs.specAt.IsZero() && !now.Before(rs.specAt) {
 		d.checkStragglers(rs, now)
-		rs.specAt = now.Add(d.cfg.SpeculationInterval)
+		rs.specAt = now.Add(specInterval)
 	}
 }
 
@@ -448,12 +448,10 @@ func (d *Driver) resendIncomplete(rs *runState, now time.Time) {
 // restoration for moved terminal partitions (§3.3).
 func (d *Driver) onWorkerFailure(rs *runState, dead rpc.NodeID, now time.Time) {
 	d.mu.Lock()
-	ws, ok := d.workers[dead]
-	if !ok || !ws.alive {
+	if _, ok := d.workers[dead]; !ok {
 		d.mu.Unlock()
 		return
 	}
-	ws.alive = false
 	delete(d.workers, dead)
 	d.health.Remove(dead)
 	d.epoch++

@@ -11,7 +11,7 @@ func sloFixture(t *testing.T) (Config, *metrics.Registry, *metrics.History, *slo
 	t.Helper()
 	cfg := Config{SlotsPerWorker: 2, GroupSize: 2}.withDefaults()
 	reg := metrics.NewRegistry()
-	hist := metrics.NewHistory(reg, 16)
+	hist := metrics.NewHistory(reg)
 	w := newSLOWatcher(cfg, reg, hist, nil)
 	w.sustain = 3
 	w.cooldown = time.Hour // one emission per kind unless the test says otherwise

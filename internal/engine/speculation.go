@@ -13,6 +13,18 @@ import (
 	"drizzle/internal/rpc"
 )
 
+const (
+	// specInterval is how often the driver scans outstanding tasks for
+	// stragglers.
+	specInterval = 20 * time.Millisecond
+	// specMinCompleted is how many task completions the detector must
+	// observe before it trusts its median.
+	specMinCompleted = 6
+	// specMaxConcurrent caps in-flight speculative copies, bounding the
+	// redundant work a pathological cluster can trigger.
+	specMaxConcurrent = 8
+)
+
 // specAttempt is the driver's record of one in-flight speculative copy.
 type specAttempt struct {
 	worker  rpc.NodeID
@@ -51,13 +63,13 @@ func (rs *runState) medianDurMillis() float64 {
 }
 
 // checkStragglers is the quantile-based straggler detector, run every
-// SpeculationInterval by the wait loop: a running task is flagged once its elapsed time
-// exceeds SpeculationMultiplier × the median completed-task duration (with
-// the SpeculationMinRuntime floor, so a tiny median never flags anything),
-// and a speculative copy is launched on the healthiest other worker —
-// bounded by SpeculationMaxConcurrent copies in flight, oldest task first.
+// specInterval by the wait loop: a running task is flagged once its elapsed
+// time exceeds SpeculationMultiplier × the median completed-task duration
+// (with the SpeculationMinRuntime floor, so a tiny median never flags
+// anything), and a speculative copy is launched on the healthiest other
+// worker — bounded by specMaxConcurrent copies in flight, oldest task first.
 func (d *Driver) checkStragglers(rs *runState, now time.Time) {
-	if rs.durSeen < d.cfg.SpeculationMinCompleted {
+	if rs.durSeen < specMinCompleted {
 		return // median not trustworthy yet
 	}
 	threshold := time.Duration(d.cfg.SpeculationMultiplier * rs.medianDurMillis() * float64(time.Millisecond))
@@ -75,7 +87,7 @@ func (d *Driver) checkStragglers(rs *runState, now time.Time) {
 		}
 	}
 	for i := range rs.rows {
-		if inFlight >= d.cfg.SpeculationMaxConcurrent {
+		if inFlight >= specMaxConcurrent {
 			return
 		}
 		r := &rs.rows[i]

@@ -32,8 +32,6 @@ func TestSpeculativeExecutionSlowWorker(t *testing.T) {
 	cfg.Speculation = true
 	cfg.SpeculationMultiplier = 2
 	cfg.SpeculationMinRuntime = 20 * time.Millisecond
-	cfg.SpeculationMinCompleted = 4
-	cfg.SpeculationInterval = 10 * time.Millisecond
 
 	tc := newTestCluster(t, 3, cfg, rpc.InMemConfig{
 		Latency: 100 * time.Microsecond, Jitter: 50 * time.Microsecond, Seed: 1,
@@ -111,8 +109,6 @@ func TestForcedShrinkAndRegrow(t *testing.T) {
 	cfg.Speculation = true
 	cfg.SpeculationMultiplier = 2
 	cfg.SpeculationMinRuntime = 20 * time.Millisecond
-	cfg.SpeculationMinCompleted = 4
-	cfg.SpeculationInterval = 10 * time.Millisecond
 	// Non-zero emulated coordination cost so that at group size 1 the
 	// overhead fraction exceeds the tuner's upper bound and AIMD has a
 	// reason to re-grow after the forced shrink.
@@ -215,28 +211,29 @@ func TestSpeculationCountersAgreeAfterWorkerDeath(t *testing.T) {
 }
 
 // TestStragglerDetectorScriptedClock runs checkStragglers at fixed instants
-// over a three-stage job. The median of four 10 ms tasks puts 2× at 20 ms,
-// under the 30 ms SpeculationMinRuntime floor, so 30 ms is the threshold.
-// Tasks are held back, in turn, by that floor, by their batch's close (a
-// pre-scheduled source task), by the peer gate and by their stage holding
-// state (never copied); SpeculationMaxConcurrent is 3. At no instant are
-// more tasks eligible than free slots, so the scan order never picks a copy.
+// over a three-stage job. The median of six 10 ms tasks (specMinCompleted)
+// puts 2× at 20 ms, under the 30 ms SpeculationMinRuntime floor, so 30 ms is
+// the threshold. Tasks are held back, in turn, by that floor, by their
+// batch's close (a pre-scheduled source task), by the peer gate, by their
+// stage holding state (never copied) and by the specMaxConcurrent cap of 8.
+// Nine tasks become eligible in all; at no instant are more tasks eligible
+// than free slots, so the scan order never picks a copy.
 func TestStragglerDetectorScriptedClock(t *testing.T) {
 	f := newFailpathFixture(t, ModeDrizzle, []rpc.NodeID{"w0", "w1", "w2"}, threeStageJob(nil))
 	rs, d := f.rs, f.driver
 	d.log = obs.Discard()
 	d.cfg.SpeculationMultiplier = 2
 	d.cfg.SpeculationMinRuntime = 30 * time.Millisecond
-	d.cfg.SpeculationMinCompleted = 4
-	d.cfg.SpeculationMaxConcurrent = 3
-	for i := 0; i < 4; i++ {
+	for i := 0; i < specMinCompleted; i++ {
 		rs.recordDuration(10)
 	}
 	closeOf := func(b core.BatchID) time.Time { return time.Unix(0, rs.planner.BatchCloseNanos(b)) }
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	run := func(id core.TaskID, launched time.Time) {
-		setOutstanding(rs, id, rs.placement.Assign(id.Stage, id.Partition))
-		rs.at(id).launched = launched
+	run := func(launched time.Time, ids ...core.TaskID) {
+		for _, id := range ids {
+			setOutstanding(rs, id, rs.placement.Assign(id.Stage, id.Partition))
+			rs.at(id).launched = launched
+		}
 	}
 	peers := func(b core.BatchID, stage, done int, first time.Time) {
 		rs.grow(b)
@@ -248,17 +245,25 @@ func TestStragglerDetectorScriptedClock(t *testing.T) {
 		gated    = core.TaskID{Batch: 1, Stage: 1, Partition: 0} // held by its peers
 		stateful = core.TaskID{Batch: 1, Stage: 2, Partition: 0} // never copied
 		capped   = core.TaskID{Batch: 0, Stage: 0, Partition: 0} // held by the cap
+		// Five more peer-gated tasks, released with gated, fill the cap.
+		fill = []core.TaskID{
+			{Batch: 1, Stage: 1, Partition: 1},
+			{Batch: 1, Stage: 0, Partition: 0}, {Batch: 1, Stage: 0, Partition: 1},
+			{Batch: 0, Stage: 1, Partition: 0}, {Batch: 0, Stage: 1, Partition: 1},
+		}
 	)
-	run(interior, closeOf(2))
+	run(closeOf(2), interior)
 	peers(2, 1, 2, closeOf(2))
-	run(source, closeOf(2).Add(-ms(200)))
+	run(closeOf(2).Add(-ms(200)), source)
 	peers(3, 0, 2, closeOf(2)) // an early first peer leaves only the close floor
-	run(gated, closeOf(1))
+	run(closeOf(1), gated, stateful, fill[0], fill[1], fill[2])
 	peers(1, 1, 1, closeOf(1))
-	run(stateful, closeOf(1))
 	peers(1, 2, 1, closeOf(1))
-	run(capped, closeOf(0))
+	peers(1, 0, 1, closeOf(1))
+	run(closeOf(0), capped, fill[3], fill[4])
 	peers(0, 0, 1, closeOf(0))
+	peers(0, 1, 1, closeOf(0))
+	released := append([]core.TaskID{interior, source, gated}, fill...)
 
 	for _, step := range []struct {
 		name  string
@@ -269,15 +274,18 @@ func TestStragglerDetectorScriptedClock(t *testing.T) {
 		{"interior at 25 ms, past 2× median but under the floor", closeOf(2).Add(ms(25)), nil, nil},
 		{"interior at 30 ms", closeOf(2).Add(ms(30)), nil, []core.TaskID{interior}},
 		{"source 25 ms after its batch closed, 275 ms after launch", closeOf(3).Add(ms(25)), nil, []core.TaskID{interior}},
-		{"source at 30 ms; gated task's peers reach half", closeOf(3).Add(ms(30)),
-			func() { peers(1, 1, 2, closeOf(1)) }, []core.TaskID{interior, source, gated}},
-		{"capped task's peers reach half with three copies in flight", closeOf(3).Add(ms(35)),
-			func() { peers(0, 0, 2, closeOf(0)) }, []core.TaskID{interior, source, gated}},
+		{"source at 30 ms; the peers of gated and the fill reach half", closeOf(3).Add(ms(30)), func() {
+			peers(1, 1, 2, closeOf(1))
+			peers(1, 0, 2, closeOf(1))
+			peers(0, 1, 2, closeOf(0))
+		}, released},
+		{"capped task's peers reach half with eight copies in flight", closeOf(3).Add(ms(35)),
+			func() { peers(0, 0, 2, closeOf(0)) }, released},
 		{"interior commits and frees a slot", closeOf(3).Add(ms(40)), func() {
 			r := rs.at(interior)
 			r.spec, r.state, r.worker = specAttempt{}, taskDone, ""
 			rs.remaining--
-		}, []core.TaskID{source, gated, capped}},
+		}, append([]core.TaskID{source, gated, capped}, fill...)},
 	} {
 		if step.setup != nil {
 			step.setup()

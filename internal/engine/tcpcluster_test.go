@@ -172,8 +172,6 @@ func TestTCPClusterSlowWorker(t *testing.T) {
 	cfg.Speculation = true
 	cfg.SpeculationMultiplier = 2
 	cfg.SpeculationMinRuntime = 30 * time.Millisecond
-	cfg.SpeculationMinCompleted = 6
-	cfg.SpeculationInterval = 25 * time.Millisecond
 
 	reg := engine.NewRegistry()
 	if err := jobs.RegisterBuiltin(reg); err != nil {

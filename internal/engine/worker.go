@@ -367,10 +367,6 @@ func (w *Worker) pruneKills(before core.BatchID) {
 	w.mu.Unlock()
 }
 
-// KilledTasks reports how many task attempts this worker abandoned due to
-// KillTask messages.
-func (w *Worker) KilledTasks() int64 { return w.killedCnt.Value() }
-
 func (w *Worker) onSubmitJob(m core.SubmitJob) {
 	job, ok := w.reg.Lookup(m.Job)
 	if !ok {

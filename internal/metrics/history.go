@@ -19,8 +19,7 @@ import (
 // Series that vanish from the registry (eviction) age out of the History
 // once their window has fully rotated past.
 type History struct {
-	reg   *Registry
-	depth int
+	reg *Registry
 
 	mu     sync.Mutex
 	ticks  int     // total snapshots taken
@@ -42,9 +41,9 @@ type seriesRing struct {
 	stats []HistogramStats
 }
 
-// DefaultHistoryDepth is the ring depth used when NewHistory is given a
-// non-positive depth: at the driver's default 250ms telemetry interval it
-// holds a little over half a minute of history.
+// DefaultHistoryDepth is the ring depth of every History: at the driver's
+// default 250ms telemetry interval it holds a little over half a minute of
+// history.
 const DefaultHistoryDepth = 128
 
 // ClusterPrefix is prepended to the family name of every series the driver
@@ -54,27 +53,16 @@ const DefaultHistoryDepth = 128
 // chaos harness), and marks provenance for consumers like drizzle-top.
 const ClusterPrefix = "cluster:"
 
-// NewHistory returns a History over reg holding the last depth ticks per
-// series. It takes no snapshots until Tick or Start is called.
-func NewHistory(reg *Registry, depth int) *History {
-	if depth <= 0 {
-		depth = DefaultHistoryDepth
-	}
+// NewHistory returns a History over reg holding the last
+// DefaultHistoryDepth ticks per series. It takes no snapshots until Tick or
+// Start is called.
+func NewHistory(reg *Registry) *History {
 	return &History{
 		reg:    reg,
-		depth:  depth,
-		times:  make([]int64, depth),
+		times:  make([]int64, DefaultHistoryDepth),
 		series: make(map[string]*seriesRing),
 		stop:   make(chan struct{}),
 	}
-}
-
-// Depth returns the ring depth.
-func (h *History) Depth() int {
-	if h == nil {
-		return 0
-	}
-	return h.depth
 }
 
 // Start launches a goroutine that ticks every interval until Stop. Calling
@@ -126,7 +114,7 @@ func (h *History) Tick(now time.Time) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	slot := h.ticks % h.depth
+	slot := h.ticks % DefaultHistoryDepth
 	h.times[slot] = now.UnixNano()
 
 	h.reg.mu.RLock()
@@ -149,7 +137,7 @@ func (h *History) Tick(now time.Time) {
 	// without this, evicted workers' series would leak here instead of in
 	// the registry.
 	for k, sr := range h.series {
-		if h.ticks-sr.last > h.depth {
+		if h.ticks-sr.last > DefaultHistoryDepth {
 			delete(h.series, k)
 		}
 	}
@@ -158,7 +146,7 @@ func (h *History) Tick(now time.Time) {
 func (h *History) ringLocked(key, kind string) *seriesRing {
 	sr := h.series[key]
 	if sr == nil || sr.kind != kind {
-		sr = &seriesRing{kind: kind, since: h.ticks, vals: make([]float64, h.depth)}
+		sr = &seriesRing{kind: kind, since: h.ticks, vals: make([]float64, DefaultHistoryDepth)}
 		h.series[key] = sr
 	}
 	return sr
@@ -167,7 +155,7 @@ func (h *History) ringLocked(key, kind string) *seriesRing {
 func (h *History) statsRingLocked(key string) *seriesRing {
 	sr := h.series[key]
 	if sr == nil || sr.kind != "summary" {
-		sr = &seriesRing{kind: "summary", since: h.ticks, stats: make([]HistogramStats, h.depth)}
+		sr = &seriesRing{kind: "summary", since: h.ticks, stats: make([]HistogramStats, DefaultHistoryDepth)}
 		h.series[key] = sr
 	}
 	return sr
@@ -195,7 +183,7 @@ func (sr *seriesRing) writeStats(tick, slot int, s HistogramStats) {
 func (h *History) windowLocked(sr *seriesRing) (lo, hi int) {
 	hi = sr.last + 1
 	lo = sr.since
-	if m := hi - h.depth; lo < m {
+	if m := hi - DefaultHistoryDepth; lo < m {
 		lo = m
 	}
 	if lo < 0 {
@@ -251,7 +239,7 @@ func (h *History) Points(key string) []Point {
 	lo, hi := h.windowLocked(sr)
 	out := make([]Point, 0, hi-lo)
 	for t := lo; t < hi; t++ {
-		slot := t % h.depth
+		slot := t % DefaultHistoryDepth
 		out = append(out, Point{UnixNanos: h.times[slot], Value: sr.vals[slot]})
 	}
 	return out
@@ -272,7 +260,7 @@ func (h *History) StatsPoints(key string) []StatsPoint {
 	lo, hi := h.windowLocked(sr)
 	out := make([]StatsPoint, 0, hi-lo)
 	for t := lo; t < hi; t++ {
-		slot := t % h.depth
+		slot := t % DefaultHistoryDepth
 		out = append(out, StatsPoint{UnixNanos: h.times[slot], HistogramStats: sr.stats[slot]})
 	}
 	return out
@@ -289,7 +277,7 @@ func (h *History) Last(key string) (float64, bool) {
 	if sr == nil || sr.vals == nil || sr.last < sr.since {
 		return 0, false
 	}
-	return sr.vals[sr.last%h.depth], true
+	return sr.vals[sr.last%DefaultHistoryDepth], true
 }
 
 // Rate returns the per-second increase of a counter series across its
@@ -376,7 +364,7 @@ func (h *History) Dump(now time.Time) HistoryDump {
 	for k := range h.series {
 		keys = append(keys, k)
 	}
-	d.Depth, d.Ticks = h.depth, h.ticks
+	d.Depth, d.Ticks = DefaultHistoryDepth, h.ticks
 	h.mu.Unlock()
 	sort.Strings(keys)
 	for _, k := range keys {

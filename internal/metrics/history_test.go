@@ -129,34 +129,35 @@ func tickN(h *History, n int, start time.Time, step time.Duration) time.Time {
 
 func TestHistoryWindowAndRate(t *testing.T) {
 	r := NewRegistry()
-	h := NewHistory(r, 4)
+	h := NewHistory(r)
 	c := r.Counter("ticks_total")
 	g := r.Gauge("level")
 	base := time.Unix(0, 0)
-	for i := 0; i < 10; i++ {
+	const n = DefaultHistoryDepth + 6
+	for i := 0; i < n; i++ {
 		c.Add(2)
 		g.Set(float64(i))
 		h.Tick(base.Add(time.Duration(i) * time.Second))
 	}
 	pts := h.Points(Key("ticks_total"))
-	if len(pts) != 4 {
-		t.Fatalf("window holds %d points, want depth 4", len(pts))
+	if len(pts) != DefaultHistoryDepth {
+		t.Fatalf("window holds %d points, want depth %d", len(pts), DefaultHistoryDepth)
 	}
-	if pts[0].Value != 14 || pts[3].Value != 20 {
-		t.Fatalf("window values = %+v", pts)
+	if pts[0].Value != 2*(n-DefaultHistoryDepth+1) || pts[len(pts)-1].Value != 2*n {
+		t.Fatalf("window ends = %v, %v", pts[0], pts[len(pts)-1])
 	}
-	// 3 seconds span the 4-point window, counter rose 6 → 2/s.
+	// The window spans depth-1 seconds, in which the counter rose 2 per tick.
 	if rate := h.Rate(Key("ticks_total")); rate != 2 {
 		t.Fatalf("rate = %v, want 2", rate)
 	}
-	if last, ok := h.Last(Key("level")); !ok || last != 9 {
+	if last, ok := h.Last(Key("level")); !ok || last != n-1 {
 		t.Fatalf("last gauge = %v, %v", last, ok)
 	}
 }
 
 func TestHistoryGrowingAndSustained(t *testing.T) {
 	r := NewRegistry()
-	h := NewHistory(r, 8)
+	h := NewHistory(r)
 	g := r.Gauge("backlog")
 	base := time.Unix(0, 0)
 	for _, v := range []float64{1, 2, 3, 4} {
@@ -185,7 +186,7 @@ func TestHistoryGrowingAndSustained(t *testing.T) {
 
 func TestHistorySummarySeriesAndDump(t *testing.T) {
 	r := NewRegistry()
-	h := NewHistory(r, 4)
+	h := NewHistory(r)
 	hist := r.Histogram("run_ms", "worker", "w0")
 	r.Summary("cluster:run_ms", "worker", "w0").Set(HistogramStats{Count: 1, P95: 7})
 	hist.ObserveMillis(5)
@@ -207,7 +208,7 @@ func TestHistorySummarySeriesAndDump(t *testing.T) {
 	if err := json.Unmarshal(b.Bytes(), &back); err != nil {
 		t.Fatalf("dump JSON round-trip: %v", err)
 	}
-	if back.Depth != 4 || len(back.Series) != len(d.Series) {
+	if back.Depth != DefaultHistoryDepth || len(back.Series) != len(d.Series) {
 		t.Fatalf("round-trip dump = depth %d, %d series", back.Depth, len(back.Series))
 	}
 	// Nil history serves an empty dump (endpoints run unconditionally).
@@ -219,7 +220,7 @@ func TestHistorySummarySeriesAndDump(t *testing.T) {
 
 func TestHistoryEvictedSeriesAgeOut(t *testing.T) {
 	r := NewRegistry()
-	h := NewHistory(r, 3)
+	h := NewHistory(r)
 	r.Counter("gone_total", "worker", "w9").Inc()
 	base := tickN(h, 2, time.Unix(0, 0), time.Second)
 	r.Evict(func(key string) bool { return strings.Contains(key, "w9") })
@@ -227,7 +228,7 @@ func TestHistoryEvictedSeriesAgeOut(t *testing.T) {
 	if len(h.Points(key)) == 0 {
 		t.Fatal("series should linger until the window rotates past")
 	}
-	tickN(h, 4, base, time.Second)
+	tickN(h, DefaultHistoryDepth+1, base, time.Second)
 	if pts := h.Points(key); len(pts) != 0 {
 		t.Fatalf("evicted series still in history after rotation: %+v", pts)
 	}
@@ -235,7 +236,7 @@ func TestHistoryEvictedSeriesAgeOut(t *testing.T) {
 
 func TestHistoryStartStop(t *testing.T) {
 	r := NewRegistry()
-	h := NewHistory(r, 16)
+	h := NewHistory(r)
 	r.Gauge("g").Set(1)
 	h.Start(time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
@@ -254,7 +255,7 @@ func TestHistoryStartStop(t *testing.T) {
 
 func TestHistoryConcurrent(t *testing.T) {
 	r := NewRegistry()
-	h := NewHistory(r, 32)
+	h := NewHistory(r)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(2)

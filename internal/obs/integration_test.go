@@ -104,7 +104,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	cfg.Tracer = tracer
 	cfg.Logger = obs.Discard()
 	cfg.HeartbeatInterval = 20 * time.Millisecond
-	cfg.TelemetryInterval = 10 * time.Millisecond
 
 	net := rpc.NewInMemNetwork(rpc.InMemConfig{})
 	defer net.Close()

@@ -19,9 +19,6 @@ type InMemConfig struct {
 	// BytesPerSec, if non-zero, models link bandwidth: a message of n
 	// bytes adds n/BytesPerSec of serialization delay.
 	BytesPerSec int64
-	// QueueLen is the per-node inbox capacity (default 65536). Sends to a
-	// full inbox block, providing backpressure like TCP would.
-	QueueLen int
 	// Seed seeds the jitter source; 0 means a fixed default seed so runs
 	// are reproducible.
 	Seed int64
@@ -46,6 +43,10 @@ func EC2LikeConfig() InMemConfig {
 		BytesPerSec: 1 << 30, // ~1 GB/s, r3.xlarge-ish
 	}
 }
+
+// inMemQueueLen is the per-node inbox capacity. Sends to a full inbox
+// block, providing backpressure like TCP would.
+const inMemQueueLen = 65536
 
 type inMemMessage struct {
 	from      NodeID
@@ -88,9 +89,6 @@ var _ FailureInjector = (*InMemNetwork)(nil)
 
 // NewInMemNetwork returns an in-process network with the given config.
 func NewInMemNetwork(cfg InMemConfig) *InMemNetwork {
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 65536
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 42
@@ -143,7 +141,7 @@ func (n *InMemNetwork) Register(id NodeID, h Handler) error {
 	}
 	node := &inMemNode{
 		handler: h,
-		inbox:   make(chan inMemMessage, n.cfg.QueueLen),
+		inbox:   make(chan inMemMessage, inMemQueueLen),
 		done:    make(chan struct{}),
 	}
 	n.nodes[id] = node

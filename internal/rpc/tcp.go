@@ -23,20 +23,26 @@ type envelope struct {
 	Payload any
 }
 
+const (
+	// tcpDialTimeout bounds connection establishment to a peer.
+	tcpDialTimeout = 3 * time.Second
+	// tcpKeepAlive is the TCP keepalive period on both dialed and accepted
+	// connections, so a dead peer is eventually detected even on an idle
+	// route.
+	tcpKeepAlive = 15 * time.Second
+	// tcpWriteBuffer is the size of the per-connection bufio.Writer that
+	// coalesces frames into fewer, larger syscalls.
+	tcpWriteBuffer = 64 << 10
+)
+
 // TCPConfig tunes the TCP transport. The zero value is not usable; start
 // from DefaultTCPConfig.
 type TCPConfig struct {
-	// DialTimeout bounds connection establishment to a peer.
-	DialTimeout time.Duration
 	// WriteTimeout is the per-write deadline covering one message's encode
 	// and flush. A stalled peer (accepting but not reading, or silently
 	// dead) surfaces as a send error within this bound instead of wedging
 	// the route forever.
 	WriteTimeout time.Duration
-	// KeepAlive is the TCP keepalive period on both dialed and accepted
-	// connections, so a dead peer is eventually detected even on an idle
-	// route.
-	KeepAlive time.Duration
 	// RedialBackoff is the base delay before re-dialing a route whose last
 	// dial failed; it doubles per consecutive failure up to
 	// RedialBackoffMax. Sends during the backoff window fail fast with
@@ -44,9 +50,6 @@ type TCPConfig struct {
 	RedialBackoff time.Duration
 	// RedialBackoffMax caps the exponential redial backoff.
 	RedialBackoffMax time.Duration
-	// WriteBuffer is the size of the per-connection bufio.Writer that
-	// coalesces frames into fewer, larger syscalls.
-	WriteBuffer int
 	// InboundQueue is the per-connection delivery queue capacity. Socket
 	// decoding is decoupled from handler execution through this queue; when
 	// a slow handler lets it fill, further messages on the connection are
@@ -66,35 +69,23 @@ type TCPConfig struct {
 // DefaultTCPConfig returns the production defaults.
 func DefaultTCPConfig() TCPConfig {
 	return TCPConfig{
-		DialTimeout:      3 * time.Second,
 		WriteTimeout:     5 * time.Second,
-		KeepAlive:        15 * time.Second,
 		RedialBackoff:    25 * time.Millisecond,
 		RedialBackoffMax: 2 * time.Second,
-		WriteBuffer:      64 << 10,
 		InboundQueue:     4096,
 	}
 }
 
 func (c TCPConfig) withDefaults() TCPConfig {
 	d := DefaultTCPConfig()
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = d.DialTimeout
-	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = d.WriteTimeout
-	}
-	if c.KeepAlive <= 0 {
-		c.KeepAlive = d.KeepAlive
 	}
 	if c.RedialBackoff <= 0 {
 		c.RedialBackoff = d.RedialBackoff
 	}
 	if c.RedialBackoffMax < c.RedialBackoff {
 		c.RedialBackoffMax = d.RedialBackoffMax
-	}
-	if c.WriteBuffer <= 0 {
-		c.WriteBuffer = d.WriteBuffer
 	}
 	if c.InboundQueue <= 0 {
 		c.InboundQueue = d.InboundQueue
@@ -274,8 +265,8 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-func newTCPConn(c net.Conn, bufSize int, writes *tcpCounter) *tcpConn {
-	bw := bufio.NewWriterSize(countingWriter{w: c, writes: writes}, bufSize)
+func newTCPConn(c net.Conn, writes *tcpCounter) *tcpConn {
+	bw := bufio.NewWriterSize(countingWriter{w: c, writes: writes}, tcpWriteBuffer)
 	return &tcpConn{c: c, bw: bw, enc: newStreamEncoder(bw)}
 }
 
@@ -412,7 +403,7 @@ func (n *TCPNetwork) accept(tl *tcpListener) {
 		}
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.SetKeepAlive(true)
-			tc.SetKeepAlivePeriod(n.cfg.KeepAlive)
+			tc.SetKeepAlivePeriod(tcpKeepAlive)
 		}
 		if !tl.track(c) {
 			c.Close()
@@ -602,13 +593,13 @@ func (n *TCPNetwork) dialRoute(key routeKey, addr string) (*tcpConn, error) {
 
 func (n *TCPNetwork) dial(key routeKey, addr string) (*tcpConn, error) {
 	n.dials.Inc()
-	d := net.Dialer{Timeout: n.cfg.DialTimeout, KeepAlive: n.cfg.KeepAlive}
+	d := net.Dialer{Timeout: tcpDialTimeout, KeepAlive: tcpKeepAlive}
 	c, err := d.Dial("tcp", addr)
 	if err != nil {
 		n.dialErrors.Inc()
 		return nil, fmt.Errorf("rpc: dial %s (%s): %w", key.to, addr, err)
 	}
-	conn := newTCPConn(c, n.cfg.WriteBuffer, n.socketWrites)
+	conn := newTCPConn(c, n.socketWrites)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()

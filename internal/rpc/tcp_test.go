@@ -585,3 +585,21 @@ func TestTCPStatsCountOwnNetwork(t *testing.T) {
 		t.Errorf("registry drizzle_rpc_socket_writes_total = %d, want the networks' sum %d", got, writes)
 	}
 }
+
+// TestRemovedOptionValues pins each transport option that used to be a
+// TCPConfig or InMemConfig field to the default it had then.
+func TestRemovedOptionValues(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"TCPConfig.DialTimeout", tcpDialTimeout, 3 * time.Second},
+		{"TCPConfig.KeepAlive", tcpKeepAlive, 15 * time.Second},
+		{"TCPConfig.WriteBuffer", tcpWriteBuffer, 64 << 10},
+		{"InMemConfig.QueueLen", inMemQueueLen, 65536},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}

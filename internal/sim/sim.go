@@ -123,7 +123,6 @@ func (h eventHeap) Less(i, j int) bool {
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() *event  { return h[0] }
 
 // sim is the event loop plus the two queueing resources.
 type sim struct {

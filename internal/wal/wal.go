@@ -23,31 +23,24 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 )
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
+// queueLen bounds the async append queue; a full queue makes Append block
+// (backpressure) rather than grow without bound.
+const queueLen = 1024
+
 // Options tunes a Log. The zero value picks defaults.
 type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size.
 	SegmentBytes int64
-	// QueueLen bounds the async append queue; a full queue makes Append
-	// block (backpressure) rather than grow without bound.
-	QueueLen int
-	// SyncEvery, when positive, fsyncs opportunistically after a write
-	// batch if that long has passed since the last fsync. Zero means fsync
-	// only on explicit Sync/Close/rotation — the caller owns the barrier.
-	SyncEvery time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.QueueLen <= 0 {
-		o.QueueLen = 1024
 	}
 	return o
 }
@@ -87,10 +80,9 @@ type Log struct {
 	err      error  // sticky writer error
 	closed   bool
 
-	f        *os.File
-	segIdx   int
-	segSize  int64
-	lastSync time.Time
+	f       *os.File
+	segIdx  int
+	segSize int64
 
 	wg sync.WaitGroup
 }
@@ -132,7 +124,7 @@ func Open(dir string, opts Options, fn func(payload []byte) error) (*Log, Replay
 	}
 	sort.Ints(segs)
 
-	l := &Log{dir: dir, opts: opts, lastSync: time.Now()}
+	l := &Log{dir: dir, opts: opts}
 	l.cond = sync.NewCond(&l.mu)
 
 	lastSize := int64(0)
@@ -256,7 +248,7 @@ func syncDir(dir string) error {
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.queue) >= l.opts.QueueLen && !l.closed && l.err == nil {
+	for len(l.queue) >= queueLen && !l.closed && l.err == nil {
 		l.cond.Wait()
 	}
 	if l.closed {
@@ -443,9 +435,7 @@ func (l *Log) writer() {
 
 		l.mu.Lock()
 		l.written += wrote
-		doSync := werr == nil && (wantSync ||
-			(l.opts.SyncEvery > 0 && wrote > 0 && time.Since(l.lastSync) >= l.opts.SyncEvery) ||
-			(l.closed && l.written > l.synced))
+		doSync := werr == nil && (wantSync || (l.closed && l.written > l.synced))
 		l.mu.Unlock()
 		if doSync {
 			if err := l.f.Sync(); err != nil && werr == nil {
@@ -458,7 +448,6 @@ func (l *Log) writer() {
 		}
 		if doSync && werr == nil {
 			l.synced = l.written
-			l.lastSync = time.Now()
 		}
 		l.cond.Broadcast()
 		l.mu.Unlock()

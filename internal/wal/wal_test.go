@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // frame builds one on-disk record frame for hand-built corruption cases.
@@ -304,26 +303,11 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
-func TestBackgroundSyncEvery(t *testing.T) {
-	dir := t.TempDir()
-	l, _, _ := openCollect(t, dir, Options{SyncEvery: time.Millisecond})
-	defer l.Close()
-	if _, err := l.Append([]byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil { // establishes lastSync in the past
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if _, err := l.Append([]byte("second")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for l.SyncedSeq() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background sync never advanced SyncedSeq past %d", l.SyncedSeq())
-		}
-		time.Sleep(time.Millisecond)
+// TestRemovedOptionValues pins the append queue bound, once the
+// Options.QueueLen field, to the default it had then.
+func TestRemovedOptionValues(t *testing.T) {
+	if queueLen != 1024 {
+		t.Errorf("QueueLen = %d, want 1024", queueLen)
 	}
 }
 
